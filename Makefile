@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-json golden chaos chaos-scale chaos-churn soak lint
+.PHONY: check build vet test race bench golden chaos chaos-scale chaos-churn soak lint
 
 # check is the CI entry point: vet, build, full test suite, bench smoke run.
 check: vet build test bench
@@ -84,12 +84,7 @@ soak:
 	done
 
 # bench runs every benchmark once as a smoke test (catches bit-rot without
-# paying for stable numbers).
+# paying for stable numbers). The recorded numbers are the cast-path ledger:
+# `bash bench/run.sh --all`, see bench/README.md.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-# bench-json runs the benchmarks for real and records them as JSON.
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1s ./... | tee /tmp/bench_out.txt
-	$(GO) run ./tools/benchjson -after /tmp/bench_out.txt > BENCH_local.json
-	@echo wrote BENCH_local.json

@@ -208,47 +208,39 @@ func BenchmarkFlushAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkSendWindow measures the Group.Send hot path with the
-// credit-based send window enabled (the default) against the unbounded
-// fire-and-forget baseline (SendWindow: -1). The bounded path must stay
-// within ~10% of the baseline: its steady-state cost is one mutex round
-// trip per send plus the stability-driven release bookkeeping, with
-// blocking only when the sender genuinely outruns the stack.
-func BenchmarkSendWindow(b *testing.B) {
-	for _, mode := range []struct {
-		name   string
-		window int
-	}{
-		{"windowed", 0},   // DefaultSendWindow
-		{"unbounded", -1}, // pre-flow-control behavior
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			nw := loopnet.New()
-			defer nw.Close()
-			ep, err := nw.Attach(netio.EndpointConfig{ID: 1, Kind: netio.Fixed, Segments: []string{"lan"}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			nd, err := morpheus.Start(morpheus.Config{
-				Endpoint:   ep,
-				Members:    []morpheus.NodeID{1},
-				SendWindow: mode.window,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer nd.Close()
-			payload := []byte("0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef")
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := nd.Send(payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-		})
+// startLoopNode starts a single-member node on a fresh loopnet, torn down
+// with the benchmark.
+func startLoopNode(b *testing.B) *morpheus.Node {
+	b.Helper()
+	nw := loopnet.New()
+	b.Cleanup(func() { nw.Close() })
+	ep, err := nw.Attach(netio.EndpointConfig{ID: 1, Kind: netio.Fixed, Segments: []string{"lan"}})
+	if err != nil {
+		b.Fatal(err)
 	}
+	nd, err := morpheus.Start(morpheus.Config{Endpoint: ep, Members: []morpheus.NodeID{1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { nd.Close() })
+	return nd
+}
+
+// BenchmarkSendWindow measures the Group.Send hot path through the
+// credit-based send window: its steady-state cost is one mutex round trip
+// per send plus the stability-driven release bookkeeping, with blocking
+// only when the sender genuinely outruns the stack.
+func BenchmarkSendWindow(b *testing.B) {
+	nd := startLoopNode(b)
+	payload := []byte("0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := nd.Send(payload); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
 }
 
 // BenchmarkGroupHosting is the scheduler pool's per-group overhead proof:
@@ -256,55 +248,30 @@ func BenchmarkSendWindow(b *testing.B) {
 // message round-robin across a fixed 16-group active set. Flat per-group
 // hosting overhead means the hosted=1024 ns/op (and allocs/op) stay within
 // 2x of hosted=16 — an idle hosted group must cost nothing per op, because
-// it is simply absent from every run queue. The dedicated/pooled variants
-// A/B the shared worker pool against one goroutine per group (pair with
-// benchjson -variants "dedicated,pooled"); the all-active scaling sweep
+// it is simply absent from every run queue. The all-active scaling sweep
 // lives at the scheduler layer in BenchmarkSchedulerPool.
 func BenchmarkGroupHosting(b *testing.B) {
 	const active = 16
 	for _, groups := range []int{16, 1024} {
 		b.Run("hosted="+strconv.Itoa(groups), func(b *testing.B) {
-			for _, mode := range []struct {
-				name    string
-				workers int
-			}{
-				{"dedicated", morpheus.DedicatedSchedulers},
-				{"pooled", 0},
-			} {
-				b.Run(mode.name, func(b *testing.B) {
-					nw := loopnet.New()
-					defer nw.Close()
-					ep, err := nw.Attach(netio.EndpointConfig{ID: 1, Kind: netio.Fixed, Segments: []string{"lan"}})
-					if err != nil {
-						b.Fatal(err)
-					}
-					nd, err := morpheus.Start(morpheus.Config{
-						Endpoint:         ep,
-						Members:          []morpheus.NodeID{1},
-						SchedulerWorkers: mode.workers,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer nd.Close()
-					gs := make([]*morpheus.Group, groups)
-					for i := range gs {
-						gs[i], err = nd.Join("h"+strconv.Itoa(i), morpheus.GroupConfig{Members: []morpheus.NodeID{1}})
-						if err != nil {
-							b.Fatal(err)
-						}
-					}
-					payload := []byte("0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef")
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if err := gs[i%active].Send(payload); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.StopTimer()
-				})
+			nd := startLoopNode(b)
+			gs := make([]*morpheus.Group, groups)
+			for i := range gs {
+				var err error
+				gs[i], err = nd.Join("h"+strconv.Itoa(i), morpheus.GroupConfig{Members: []morpheus.NodeID{1}})
+				if err != nil {
+					b.Fatal(err)
+				}
 			}
+			payload := []byte("0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := gs[i%active].Send(payload); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
 		})
 	}
 }

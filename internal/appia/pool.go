@@ -20,8 +20,8 @@ import (
 // worker that pops a scheduler runs Scheduler.drain to completion (mailbox
 // empty, scheduler parked) before the scheduler can be enqueued again.
 // Layer code therefore observes exactly the single-goroutine execution
-// model of dedicated mode — the memory-ordering handoff between successive
-// owning workers is carried by the chain
+// model of a standalone scheduler — the memory-ordering handoff between
+// successive owning workers is carried by the chain
 //
 //	park (s.mu) -> post (s.mu) -> enqueue (pool.mu) -> pop (pool.mu) -> drain (s.mu)
 //
@@ -33,10 +33,10 @@ import (
 // of one global FIFO, and each wake-up atomically (under pool.mu) enqueues
 // the scheduler for the clock's run token AND appends it to that FIFO — so
 // pop order equals token-grant order equals poster order, which is exactly
-// the dedicated-mode execution. Worker count does not change the schedule:
+// the schedule standalone schedulers produce. Worker count does not change it:
 // whichever worker pops a scheduler still blocks on that scheduler's token
 // grant, and grants are issued one at a time in FIFO order. Golden hashes
-// are therefore byte-identical across pool sizes and versus dedicated mode.
+// are therefore byte-identical across pool sizes.
 type Pool struct {
 	clk  clock.Clock
 	vclk *clock.Virtual
@@ -98,7 +98,7 @@ func (p *Pool) Clock() clock.Clock { return p.clk }
 func (p *Pool) Workers() int { return len(p.local) }
 
 // NewScheduler returns a scheduler executed by this pool. It shares the
-// whole Scheduler API with dedicated schedulers (Start is a no-op — the
+// whole Scheduler API with standalone schedulers (Start is a no-op — the
 // workers already run); Close drains and detaches it without stopping the
 // pool.
 func (p *Pool) NewScheduler() *Scheduler {

@@ -7,14 +7,11 @@ import (
 	"testing"
 )
 
-// BenchmarkSchedulerPool measures per-task dispatch cost while hosting
-// `groups` schedulers, dedicated (one goroutine each) vs pooled (shared
-// GOMAXPROCS workers). "loaded" drives every group round-robin; "idle"
-// hosts the full population but drives only 8 of them — the pool's flat
-// per-group overhead claim is that the idle population costs nothing (it
-// is simply absent from every run queue). Pair the variants with
-//
-//	go run ./tools/benchjson -variants "dedicated,pooled"
+// BenchmarkSchedulerPool measures per-task dispatch cost while a pool of
+// GOMAXPROCS workers hosts `groups` schedulers. "loaded" drives every group
+// round-robin; "idle" hosts the full population but drives only 8 of them —
+// the pool's flat per-group overhead claim is that the idle population
+// costs nothing (it is simply absent from every run queue).
 func BenchmarkSchedulerPool(b *testing.B) {
 	for _, groups := range []int{1, 16, 256, 1024} {
 		loads := []string{"loaded"}
@@ -27,60 +24,45 @@ func BenchmarkSchedulerPool(b *testing.B) {
 				active = 8
 			}
 			b.Run(fmt.Sprintf("groups=%d,%s", groups, load), func(b *testing.B) {
-				b.Run("dedicated", func(b *testing.B) { benchSchedulerPool(b, groups, active, false) })
-				b.Run("pooled", func(b *testing.B) { benchSchedulerPool(b, groups, active, true) })
+				pool := NewPool(0, nil)
+				defer pool.Close()
+				scheds := make([]*Scheduler, groups)
+				for i := range scheds {
+					scheds[i] = pool.NewScheduler()
+				}
+				defer func() {
+					for _, s := range scheds {
+						s.Close()
+					}
+				}()
+
+				var done atomic.Int64
+				fn := func() { done.Add(1) }
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := scheds[i%active].Do(fn); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for done.Load() != int64(b.N) {
+					runtime.Gosched()
+				}
+				b.StopTimer()
+
+				st := pool.Stats()
+				if st.Enqueues == 0 || st.Batches == 0 {
+					b.Fatalf("pool never dispatched: %+v", st)
+				}
+				if st.Stolen < st.Steals {
+					b.Fatalf("steal accounting: %d steal ops migrated only %d schedulers", st.Steals, st.Stolen)
+				}
+				if st.Deterministic {
+					b.Fatalf("wall-clock pool reports deterministic mode: %+v", st)
+				}
+				b.ReportMetric(float64(st.Steals)/float64(b.N), "steals/op")
+				b.ReportMetric(float64(st.Batches)/float64(b.N), "batches/op")
 			})
 		}
-	}
-}
-
-func benchSchedulerPool(b *testing.B, groups, active int, pooled bool) {
-	var pool *Pool
-	if pooled {
-		pool = NewPool(0, nil)
-		defer pool.Close()
-	}
-	scheds := make([]*Scheduler, groups)
-	for i := range scheds {
-		if pooled {
-			scheds[i] = pool.NewScheduler()
-		} else {
-			scheds[i] = NewScheduler()
-		}
-		scheds[i].Start()
-	}
-	defer func() {
-		for _, s := range scheds {
-			s.Close()
-		}
-	}()
-
-	var done atomic.Int64
-	fn := func() { done.Add(1) }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := scheds[i%active].Do(fn); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for done.Load() != int64(b.N) {
-		runtime.Gosched()
-	}
-	b.StopTimer()
-
-	if pooled {
-		st := pool.Stats()
-		if st.Enqueues == 0 || st.Batches == 0 {
-			b.Fatalf("pool never dispatched: %+v", st)
-		}
-		if st.Stolen < st.Steals {
-			b.Fatalf("steal accounting: %d steal ops migrated only %d schedulers", st.Steals, st.Stolen)
-		}
-		if st.Deterministic {
-			b.Fatalf("wall-clock pool reports deterministic mode: %+v", st)
-		}
-		b.ReportMetric(float64(st.Steals)/float64(b.N), "steals/op")
-		b.ReportMetric(float64(st.Batches)/float64(b.N), "batches/op")
 	}
 }

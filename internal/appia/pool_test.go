@@ -10,12 +10,12 @@ import (
 	"morpheus/internal/clock"
 )
 
-// The pooled-mode conformance suite: every behavioral contract the
-// dedicated scheduler pins — exactly-once per-producer FIFO processing,
-// mailbox-bounds hysteresis, Flush, the close race, timer cancellation —
-// must hold unchanged when the scheduler executes on a shared Pool, plus
-// the pool-only contracts (stealing, per-group stats, virtual-time trace
-// identity across worker counts).
+// The executor conformance suite: every behavioral contract of the
+// scheduler — exactly-once per-producer FIFO processing, mailbox-bounds
+// hysteresis, Flush, the close race, timer cancellation — must hold on
+// both executors of the one drain loop (forEachExecutor), plus the
+// pool-only contracts (detach on Close, stealing, per-group stats,
+// virtual-time trace identity across worker counts).
 
 // newTestPool builds a wall-clock pool torn down with the test.
 func newTestPool(t testing.TB, workers int) *Pool {
@@ -25,80 +25,26 @@ func newTestPool(t testing.TB, workers int) *Pool {
 	return p
 }
 
-// TestPooledConcurrentInsertStress is TestSchedulerConcurrentInsertStress
-// on a pooled scheduler: many producers, exactly-once, per-producer order.
-func TestPooledConcurrentInsertStress(t *testing.T) {
-	const producers = 8
-	const perProducer = 500
-
-	type stressEv struct {
-		EventBase
-		producer int
-		seq      int
-	}
-	var mu sync.Mutex
-	lastSeen := make([]int, producers)
-	for i := range lastSeen {
-		lastSeen[i] = -1
-	}
-	var total atomic.Int64
-
-	l := layerFunc{name: "sink", accepts: []EventType{T[*stressEv]()}, fn: func(ch *Channel, ev Event) {
-		e, ok := ev.(*stressEv)
-		if !ok {
-			ch.Forward(ev)
-			return
-		}
-		mu.Lock()
-		if e.seq != lastSeen[e.producer]+1 {
-			t.Errorf("producer %d: seq %d after %d", e.producer, e.seq, lastSeen[e.producer])
-		}
-		lastSeen[e.producer] = e.seq
-		mu.Unlock()
-		total.Add(1)
-	}}
-	q, err := NewQoS("q", l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := newTestPool(t, 4)
-	sched := pool.NewScheduler()
-	defer sched.Close()
-	ch := q.CreateChannel("c", sched)
-	if err := ch.Start(); err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		p := p
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
-				if err := ch.Insert(&stressEv{producer: p, seq: i}, Up); err != nil {
-					t.Errorf("insert: %v", err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	sched.Flush()
-	if got := total.Load(); got != producers*perProducer {
-		t.Fatalf("processed %d events, want %d", got, producers*perProducer)
-	}
-	if st := pool.Stats(); st.Enqueues == 0 || st.Batches == 0 {
-		t.Fatalf("pool never dispatched: %+v", st)
-	}
+// forEachExecutor runs fn once per way a scheduler gets executed: on its own
+// goroutine, and on a shared pool.
+func forEachExecutor(t *testing.T, fn func(t *testing.T, newSched func() *Scheduler)) {
+	t.Run("standalone", func(t *testing.T) {
+		fn(t, func() *Scheduler {
+			s := NewScheduler()
+			s.Start()
+			return s
+		})
+	})
+	t.Run("pooled", func(t *testing.T) { fn(t, newTestPool(t, 4).NewScheduler) })
 }
 
-// TestPooledMailboxBoundsHysteresis pins SetMailboxBounds/AdmitExternal on
-// a pooled scheduler: the gate arms at the high watermark, holds while the
-// drain is above low, and reopens (channel closed, then nil) after a drain.
-func TestPooledMailboxBoundsHysteresis(t *testing.T) {
-	pool := newTestPool(t, 2)
-	sched := pool.NewScheduler()
+// TestMailboxBoundsHysteresis pins SetMailboxBounds/AdmitExternal: the gate
+// arms at the high watermark, holds while the drain is above low, and
+// reopens (channel closed, then nil) after a drain.
+func TestMailboxBoundsHysteresis(t *testing.T) { forEachExecutor(t, testMailboxBoundsHysteresis) }
+
+func testMailboxBoundsHysteresis(t *testing.T, newSched func() *Scheduler) {
+	sched := newSched()
 	defer sched.Close()
 	sched.SetMailboxBounds(8, 2)
 
@@ -137,12 +83,13 @@ func TestPooledMailboxBoundsHysteresis(t *testing.T) {
 	}
 }
 
-// TestPooledFlushAndClose pins Flush ordering and the Close contract
-// (drains queued work, rejects later posts, is idempotent and safe to race
-// with producers) in pooled mode.
-func TestPooledFlushAndClose(t *testing.T) {
-	pool := newTestPool(t, 2)
-	sched := pool.NewScheduler()
+// TestFlushAndClose pins Flush ordering and the Close contract (drains
+// queued work, rejects later posts, is idempotent and safe to race with
+// producers).
+func TestFlushAndClose(t *testing.T) { forEachExecutor(t, testFlushAndClose) }
+
+func testFlushAndClose(t *testing.T, newSched func() *Scheduler) {
+	sched := newSched()
 
 	var order []int
 	var mu sync.Mutex
@@ -223,24 +170,6 @@ func TestPooledCloseDetachesQueuedScheduler(t *testing.T) {
 		t.Fatal("queued work was dropped by Close")
 	}
 	close(block)
-}
-
-// TestPooledTimerStormUnderClose is TestTimerStormUnderClose, pooled.
-func TestPooledTimerStormUnderClose(t *testing.T) {
-	pool := newTestPool(t, 2)
-	sched := pool.NewScheduler()
-	var fired atomic.Int64
-	for i := 0; i < 200; i++ {
-		d := time.Duration(i%10+1) * time.Millisecond
-		sched.After(d, func() { fired.Add(1) })
-	}
-	time.Sleep(5 * time.Millisecond)
-	sched.Close()
-	n := fired.Load()
-	time.Sleep(20 * time.Millisecond)
-	if fired.Load() != n {
-		t.Fatal("timers fired after Close")
-	}
 }
 
 // TestPoolStealCounters wedges one worker and proves the other steals the
@@ -331,21 +260,21 @@ func TestPooledPerGroupMailboxStats(t *testing.T) {
 // poolTrace runs one deterministic multi-scheduler workload on a virtual
 // clock and returns the execution trace: timer-seeded Do-chains hopping
 // between 8 schedulers. The trace must be a pure function of the workload —
-// independent of executor shape (dedicated goroutines, pool of 1, pool
-// of 4) and of GOMAXPROCS.
-func poolTrace(t *testing.T, workers int, dedicated bool) []string {
+// independent of executor shape (standalone schedulers on their own
+// goroutines, pool of 1, pool of 4) and of GOMAXPROCS.
+func poolTrace(t *testing.T, workers int, standalone bool) []string {
 	t.Helper()
 	clk := clock.NewVirtual()
 	defer clk.Stop()
 	var pool *Pool
-	if !dedicated {
+	if !standalone {
 		pool = NewPool(workers, clk)
 		defer pool.Close()
 	}
 	const K = 8
 	scheds := make([]*Scheduler, K)
 	for i := range scheds {
-		if dedicated {
+		if standalone {
 			scheds[i] = NewSchedulerWithClock(clk)
 			scheds[i].Start()
 		} else {
@@ -381,9 +310,10 @@ func poolTrace(t *testing.T, workers int, dedicated bool) []string {
 }
 
 // TestPooledVirtualTraceIdentity is the determinism theorem as a test: on a
-// virtual clock the execution trace is byte-identical across dedicated
-// mode and every pool size, because dispatch order reduces to the clock's
-// FIFO token-grant order in all of them.
+// virtual clock the execution trace is byte-identical across the
+// own-goroutine executor and every pool size, because all of them run the
+// same drain loop and dispatch order reduces to the clock's FIFO
+// token-grant order.
 func TestPooledVirtualTraceIdentity(t *testing.T) {
 	ref := poolTrace(t, 0, true)
 	for _, workers := range []int{1, 4} {

@@ -21,10 +21,11 @@ type task struct {
 	fn     func()  // when non-nil, just run it
 }
 
-// Scheduler executes all the sessions of one protocol stack on a single
-// goroutine, in the style of the Appia event scheduler. Channels that share
-// sessions must share the scheduler; in this codebase every simulated node
-// owns exactly one scheduler for all its channels.
+// Scheduler executes all the sessions of one protocol stack on one executor
+// at a time, in the style of the Appia event scheduler: its own goroutine
+// (NewScheduler, NewSchedulerWithClock) or whichever worker of a shared Pool
+// currently owns it (Pool.NewScheduler). Both run the same loop, drain.
+// Channels that share sessions must share the scheduler.
 //
 // The mailbox itself never blocks an insertion — that is essential, because
 // the scheduler goroutine re-queues events while forwarding them, and a
@@ -47,11 +48,10 @@ type task struct {
 type Scheduler struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queue   []task // producer-side buffer; run() swaps it out wholesale
-	waiting bool   // the scheduler goroutine is parked in cond.Wait
+	queue   []task // producer-side buffer; drain() swaps it out wholesale
+	waiting bool   // parked: mailbox empty, no executor owns the scheduler
 	closed  bool
 
-	wg      sync.WaitGroup
 	started bool
 
 	clk  clock.Clock
@@ -60,20 +60,20 @@ type Scheduler struct {
 	// Virtual-clock token state. grant receives the token; closing unhooks
 	// the goroutine from the token regime at Close so teardown cannot
 	// deadlock on a token the closer itself holds. tokenHeld is only
-	// touched by the scheduler goroutine.
+	// touched by the executor that owns the scheduler.
 	grant     chan struct{}
 	closing   chan struct{}
 	tokenHeld bool
 
-	// Pooled mode. When pool is non-nil the scheduler has no goroutine of
-	// its own: posts enqueue it on the pool, whose workers run drain() while
-	// owning it exclusively (see Pool). affinity is the preferred worker,
-	// guarded by pool.mu; spare is the recycled batch buffer, touched only
-	// by the owning worker; drained (closed once, via drainOnce) lets Close
-	// wait for the final drain without a goroutine to join.
+	// spare is the recycled batch buffer, touched only by the executor that
+	// owns the scheduler. When pool is non-nil the scheduler has no goroutine
+	// of its own: posts enqueue it on the pool, whose workers run drain()
+	// while owning it exclusively (see Pool). affinity is the preferred
+	// worker, guarded by pool.mu. drained (closed once, via drainOnce) is
+	// what Close waits on: the final drain, whichever executor runs it.
+	spare     []task
 	pool      *Pool
 	affinity  int
-	spare     []task
 	drained   chan struct{}
 	drainOnce sync.Once
 
@@ -111,7 +111,7 @@ func NewSchedulerWithClock(clk clock.Clock) *Scheduler {
 		drained: make(chan struct{}),
 		// A scheduler is born parked: the first post must behave like a
 		// wake-up (in particular it must queue the scheduler for a virtual
-		// clock's run token), even when it lands before run() first parks.
+		// clock's run token), even when it lands before Start.
 		waiting: true,
 	}
 	s.vclk, _ = s.clk.(*clock.Virtual)
@@ -135,13 +135,12 @@ func (s *Scheduler) Start() {
 	if s.pool != nil {
 		return
 	}
-	s.wg.Add(1)
-	go s.run() //lint:goactor-ok this goroutine IS the scheduler actor; run() holds and releases the virtual clock's run token
+	go s.run() // this goroutine IS the scheduler actor: drain() holds and releases the virtual clock's run token
 }
 
 // Close stops the scheduler after draining already-queued work, cancels
-// outstanding timers, and waits for the goroutine to exit. It is safe to
-// call more than once, but must not be called from the scheduler goroutine
+// outstanding timers, and waits for that final drain. It is safe to call
+// more than once, but must not be called from the scheduler's executor
 // itself. Under a virtual clock the final drain runs outside the token
 // regime (the closer may itself hold the token): the channel teardown
 // ordering is unaffected because Channel.Close completes before schedulers
@@ -150,11 +149,7 @@ func (s *Scheduler) Close() {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		if s.pool != nil {
-			<-s.drained
-			return
-		}
-		s.wg.Wait()
+		<-s.drained
 		return
 	}
 	s.closed = true
@@ -164,12 +159,13 @@ func (s *Scheduler) Close() {
 		close(s.admitGate)
 		s.admitGate = nil
 	}
-	// Pooled: waiting==true means parked — not owned by any worker and not
-	// in any pool queue (enqueue happens only on the post that clears
-	// waiting, and closed now blocks further posts) — so there is nothing
-	// left to drain. Otherwise a worker owns it or will pop it, and its
-	// park-on-closed signals drained.
-	parked := s.waiting
+	// waiting==true means parked — not owned by any executor and not in any
+	// pool queue (enqueue happens only on the post that clears waiting, and
+	// closed now blocks further posts) — so there is nothing left to drain.
+	// Neither is there for a standalone scheduler that was never started: no
+	// executor will ever own it. Otherwise an executor owns it or will pick
+	// it up, and its park-on-closed signals drained.
+	idle := s.waiting || (s.pool == nil && !s.started)
 	s.mu.Unlock()
 	close(s.closing)
 
@@ -183,33 +179,28 @@ func (s *Scheduler) Close() {
 	if s.vclk != nil {
 		// Reclaim a token grant no executor will collect anymore: pending
 		// in the clock's run queue, already granted, or never issued — all
-		// three are handled by CancelRunnable. A pooled worker mid-drain
-		// skips token acquisition once closed, exactly like the dedicated
-		// goroutine's final drain.
+		// three are handled by CancelRunnable. An executor mid-drain skips
+		// token acquisition once closed.
 		s.vclk.CancelRunnable(s.grant)
 	}
-	if s.pool != nil {
-		switch {
-		case parked:
-			s.signalDrained()
-		case s.pool.detach(s):
-			// Still queued, owned by no worker: drain the residue inline on
-			// the closer's goroutine. This cannot wait for a pool worker —
-			// under a virtual clock the closer may hold the run token the
-			// workers are queued behind — and it cannot race an owner: the
-			// detach under pool.mu removed the only pending claim.
-			s.drain()
-		}
-		// Otherwise a worker owns the scheduler right now; its park-on-
-		// closed signals drained (token acquisition is skipped once closed,
-		// so it cannot block on a token the closer holds).
-		<-s.drained
-		return
+	switch {
+	case idle:
+		s.signalDrained()
+	case s.pool != nil && s.pool.detach(s):
+		// Still queued, owned by no worker: drain the residue inline on
+		// the closer's goroutine. This cannot wait for a pool worker —
+		// under a virtual clock the closer may hold the run token the
+		// workers are queued behind — and it cannot race an owner: the
+		// detach under pool.mu removed the only pending claim.
+		s.drain()
 	}
-	s.wg.Wait()
+	// Otherwise an executor owns the scheduler right now; its park-on-closed
+	// signals drained (token acquisition is skipped once closed, so it
+	// cannot block on a token the closer holds).
+	<-s.drained
 }
 
-// signalDrained marks the pooled scheduler fully drained (idempotent).
+// signalDrained marks the scheduler fully drained (idempotent).
 func (s *Scheduler) signalDrained() {
 	s.drainOnce.Do(func() { close(s.drained) })
 }
@@ -231,11 +222,10 @@ func (s *Scheduler) post(t task) error {
 	if s.boundHigh > 0 && s.admitGate == nil && d >= int64(s.boundHigh) {
 		s.admitGate = make(chan struct{})
 	}
-	// Signal only when the scheduler goroutine is actually parked: while it
-	// is draining a batch, posts just append. The waiting flag is only ever
-	// set under mu immediately before cond.Wait (or, pooled, at a worker's
-	// park), so a true value here means the executor is asleep and the
-	// wake-up cannot be lost.
+	// Wake only a parked scheduler: while an executor is draining, posts just
+	// append. The waiting flag is only ever set under mu at drain's park, so
+	// a true value here means no executor owns the scheduler and the wake-up
+	// cannot be lost.
 	wake := s.waiting
 	s.waiting = false
 	if s.pool != nil {
@@ -334,70 +324,34 @@ func (s *Scheduler) Flush() {
 	s.clk.Wait(done)
 }
 
-// run is the scheduler loop: a double-buffered batch dequeue. Instead of a
-// lock round trip per task, the whole pending queue is swapped out under one
-// acquisition and the batch is dispatched lock-free; the drained batch slice
-// becomes the producers' next queue buffer, so steady state recycles two
-// slices with no allocation.
+// run is the own-goroutine executor of a standalone scheduler: it sleeps
+// until a post clears waiting, then drains the mailbox exactly as a pool
+// worker would. It exits once the scheduler is closed and parked.
 func (s *Scheduler) run() {
-	defer s.wg.Done()
-	defer s.releaseToken()
-	var batch []task
 	for {
 		s.mu.Lock()
-		if s.admitGate != nil && s.depth.Load() <= int64(s.boundLow) {
-			// Drained below the low watermark: readmit external producers.
-			close(s.admitGate)
-			s.admitGate = nil
-		}
-		for len(s.queue) == 0 && !s.closed {
-			s.waiting = true
-			if s.vclk != nil && s.tokenHeld {
-				// Release the run token before parking, outside mu (lock
-				// order: never hold s.mu across clock calls that can
-				// block). Re-check the park condition afterwards: a post
-				// may have landed in the window.
-				s.mu.Unlock()
-				s.releaseToken()
-				s.mu.Lock()
-				if len(s.queue) > 0 || s.closed {
-					break
-				}
-			}
+		for s.waiting && !s.closed {
 			s.cond.Wait()
 		}
-		if len(s.queue) == 0 { // closed and fully drained
-			s.mu.Unlock()
+		parked := s.waiting
+		s.mu.Unlock()
+		if parked { // closed with nothing left to drain
 			return
 		}
-		closed := s.closed
-		s.mu.Unlock()
-		if !closed {
-			// Serialize with every other actor of a virtual clock. A
-			// closing scheduler skips this: its remaining work is teardown
-			// debris, and the closer may be holding the token.
-			s.acquireToken()
-		}
-		s.mu.Lock()
-		batch, s.queue = s.queue, batch[:0]
-		s.mu.Unlock()
-
-		for i := range batch {
-			s.dispatch(batch[i])
-		}
-		s.depth.Add(int64(-len(batch)))
-		clear(batch) // release the events for the GC in one bulk write
+		s.drain()
 	}
 }
 
-// drain is the pooled-mode counterpart of run: the owning pool worker (or,
-// during Close, the closer) drains the mailbox to empty and parks the
-// scheduler. Ownership is exclusive from pop to park, so the loop body is
-// the same double-buffered batch dequeue as run — including holding the
-// virtual clock's run token across batches — with one difference at the
-// park: releasing the token, re-setting waiting and (when closed)
-// signalling the final drain happen under a single mu hold, so the next
-// post observes a fully-parked scheduler and re-enqueues it exactly once.
+// drain is the scheduler loop, run by whichever executor owns the
+// scheduler — a pool worker, the standalone goroutine, or (during Close)
+// the closer — from wake-up to park: a double-buffered batch dequeue.
+// Instead of a lock round trip per task, the whole pending queue is swapped
+// out under one acquisition and the batch is dispatched lock-free; the
+// drained batch slice becomes the producers' next queue buffer, so steady
+// state recycles two slices with no allocation. The virtual clock's run
+// token is held across batches; releasing it, re-setting waiting and (when
+// closed) signalling the final drain happen under a single mu hold, so the
+// next post observes a fully-parked scheduler and wakes it exactly once.
 func (s *Scheduler) drain() {
 	var batch []task
 	for {
@@ -407,6 +361,7 @@ func (s *Scheduler) drain() {
 			batch = nil
 		}
 		if s.admitGate != nil && s.depth.Load() <= int64(s.boundLow) {
+			// Drained below the low watermark: readmit external producers.
 			close(s.admitGate)
 			s.admitGate = nil
 		}
@@ -423,6 +378,9 @@ func (s *Scheduler) drain() {
 		closed := s.closed
 		s.mu.Unlock()
 		if !closed {
+			// Serialize with every other actor of a virtual clock. A
+			// closing scheduler skips this: its remaining work is teardown
+			// debris, and the closer may be holding the token.
 			s.acquireToken()
 		}
 		s.mu.Lock()
@@ -439,7 +397,7 @@ func (s *Scheduler) drain() {
 			s.dispatch(batch[i])
 		}
 		s.depth.Add(int64(-len(batch)))
-		clear(batch)
+		clear(batch) // release the events for the GC in one bulk write
 	}
 }
 

@@ -11,6 +11,10 @@ import (
 // goroutines; every event must be processed exactly once and in a
 // consistent per-producer order.
 func TestSchedulerConcurrentInsertStress(t *testing.T) {
+	forEachExecutor(t, testConcurrentInsertStress)
+}
+
+func testConcurrentInsertStress(t *testing.T, newSched func() *Scheduler) {
 	const producers = 8
 	const perProducer = 500
 
@@ -44,7 +48,7 @@ func TestSchedulerConcurrentInsertStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := NewScheduler()
+	sched := newSched()
 	defer sched.Close()
 	ch := q.CreateChannel("c", sched)
 	if err := ch.Start(); err != nil {
@@ -74,9 +78,10 @@ func TestSchedulerConcurrentInsertStress(t *testing.T) {
 
 // TestTimerStormUnderClose arms many timers and closes the scheduler; no
 // panic, no goroutine leak (the -race runner catches misuse).
-func TestTimerStormUnderClose(t *testing.T) {
-	sched := NewScheduler()
-	sched.Start()
+func TestTimerStormUnderClose(t *testing.T) { forEachExecutor(t, testTimerStormUnderClose) }
+
+func testTimerStormUnderClose(t *testing.T, newSched func() *Scheduler) {
+	sched := newSched()
 	var fired atomic.Int64
 	for i := 0; i < 200; i++ {
 		d := time.Duration(i%10+1) * time.Millisecond

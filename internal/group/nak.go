@@ -9,11 +9,11 @@ import (
 	"morpheus/internal/appia"
 )
 
-// ErrUnboundedNak reports a NakConfig whose negative StableInterval
-// disables stability gossip — the only mechanism bounding the
-// retransmission buffers — without the explicit UnboundedBuffers opt-in.
+// ErrUnboundedNak reports a NakConfig whose negative StableInterval would
+// disable stability gossip — the only mechanism bounding the
+// retransmission buffers.
 var ErrUnboundedNak = errors.New(
-	"group: negative StableInterval disables stability gossip and lets retransmission buffers grow without bound; set UnboundedBuffers to opt in")
+	"group: negative StableInterval would disable stability gossip and let retransmission buffers grow without bound")
 
 // CreditReleaser receives send-window credits back as the reliable layer
 // observes stability (internal/flowctl.Window implements it; the interface
@@ -36,9 +36,8 @@ type NakConfig struct {
 	// request is sent to the origin. Zero means 20ms.
 	NackDelay time.Duration
 	// StableInterval is the period of delivered-vector gossip used to
-	// garbage-collect retransmission buffers. Zero means 250ms; negative
-	// disables stability gossip (buffers then grow without bound — only
-	// for short-lived test channels).
+	// garbage-collect retransmission buffers. Zero means 250ms; Validate
+	// rejects negative values.
 	StableInterval time.Duration
 	// StableEvery, when positive, additionally gossips the delivered
 	// vector after every StableEvery-th delivered cast, re-arming the
@@ -51,11 +50,6 @@ type NakConfig struct {
 	// StableEvery is kept purely to bound buffer growth between idle
 	// ticks under sustained load.
 	StableEvery int
-	// UnboundedBuffers acknowledges a negative StableInterval: without
-	// stability gossip the sent/history buffers grow without bound, which
-	// is acceptable only for short-lived test channels. Validate rejects
-	// the combination unless this is set.
-	UnboundedBuffers bool
 	// Window, when non-nil, receives one credit back for every windowed
 	// cast (CastEvent.Windowed) this session originated, once stability
 	// gossip shows every peer delivered it — and for every windowed cast
@@ -81,10 +75,10 @@ type NakConfig struct {
 	MaxRetained int
 }
 
-// Validate rejects configurations that silently disable the only
-// mechanism bounding retransmission-buffer growth.
+// Validate rejects configurations that would disable the only mechanism
+// bounding retransmission-buffer growth.
 func (c *NakConfig) Validate() error {
-	if c.StableInterval < 0 && !c.UnboundedBuffers {
+	if c.StableInterval < 0 {
 		return ErrUnboundedNak
 	}
 	return nil
@@ -98,7 +92,7 @@ func (c *NakConfig) nackDelay() time.Duration {
 }
 
 func (c *NakConfig) stableInterval() time.Duration {
-	if c.StableInterval == 0 {
+	if c.StableInterval <= 0 { // negative only if the caller skipped Validate
 		return 250 * time.Millisecond
 	}
 	return c.StableInterval
@@ -637,12 +631,8 @@ func (s *nakSession) handleNack(ch *appia.Channel, e *Nack) {
 }
 
 // armStable (re-)schedules the stability keepalive on the scheduler's
-// clock (virtual under the deterministic time plane, wall otherwise). A
-// negative StableInterval disables stability gossip entirely.
+// clock (virtual under the deterministic time plane, wall otherwise).
 func (s *nakSession) armStable(ch *appia.Channel) {
-	if s.cfg.StableInterval < 0 {
-		return
-	}
 	if s.stopStable != nil {
 		s.stopStable()
 	}
@@ -655,7 +645,7 @@ func (s *nakSession) armStable(ch *appia.Channel) {
 // and pushes the idle keepalive back, so under load the gossip points
 // are a pure function of the delivery sequence.
 func (s *nakSession) countDelivery(ch *appia.Channel) {
-	if s.cfg.StableEvery <= 0 || s.cfg.StableInterval < 0 {
+	if s.cfg.StableEvery <= 0 {
 		return
 	}
 	s.sinceGossip++

@@ -15,18 +15,15 @@
 // budget (Config.WireMTU) and flushed by size, by an explicit Flush, or by
 // a clock-armed delay bound (Config.WireFlushDelay); sealed datagrams are
 // drained with vectored sendmmsg/recvmmsg syscalls where the platform has
-// them (see wire.go and the mmsg_* files). Two wire formats coexist:
+// them (see wire.go and the mmsg_* files). Every datagram is a container:
 //
-//	v1 single frame (legacy, and the oversize bypass):
-//	  magic 'M' | version 1 | src NodeID (int32, big endian) |
-//	  uvarint len + port | uvarint len + class | payload
+//	magic 'M' | version 2 | src NodeID (int32, big endian) |
+//	count (uint16, big endian) | count × { uvarint body len |
+//	uvarint len + port | uvarint len + class | payload }
 //
-//	v2 container (the coalesced path):
-//	  magic 'M' | version 2 | src NodeID (int32, big endian) |
-//	  count (uint16, big endian) | count × { uvarint body len |
-//	  uvarint len + port | uvarint len + class | payload }
-//
-// Frames whose header does not parse — or whose source is the receiving
+// A frame too large to share the MTU budget travels alone in a one-entry
+// container. Datagrams whose header does not parse (the retired version-1
+// single-frame format included) — or whose source is the receiving
 // endpoint itself, which is how multicast loopback copies of one's own
 // transmissions are suppressed — are dropped.
 package udpnet
@@ -47,7 +44,6 @@ import (
 // Frame header constants.
 const (
 	frameMagic       = 'M'
-	frameVersion     = 1
 	containerVersion = 2
 	// containerHdrLen is magic + version + src (4) + count (2).
 	containerHdrLen = 8
@@ -78,10 +74,8 @@ type Config struct {
 	Groups map[string]string
 	// WireMTU is the coalescing budget: frames bound for one destination
 	// are packed into container datagrams of at most this many bytes.
-	// 0 means DefaultWireMTU; negative disables coalescing entirely and
-	// restores the one-frame-per-datagram, one-syscall-per-frame legacy
-	// path (the benchmark baseline). Positive values below 128 are
-	// rejected — no frame would fit.
+	// 0 means DefaultWireMTU. Values below 128 are rejected — no frame
+	// would fit — as are values above the 64 KiB datagram ceiling.
 	WireMTU int
 	// WireFlushDelay bounds the latency coalescing may add: the first
 	// frame into an empty coalescer arms a timer, and whatever has packed
@@ -122,8 +116,6 @@ func New(cfg Config) (*Network, error) {
 	switch {
 	case mtu == 0:
 		mtu = DefaultWireMTU
-	case mtu < 0:
-		mtu = 0 // coalescing disabled
 	case mtu < 128:
 		return nil, fmt.Errorf("udpnet: WireMTU %d below the 128-byte minimum", cfg.WireMTU)
 	case mtu > maxFrame:
@@ -247,9 +239,7 @@ func (nw *Network) Attach(cfg netio.EndpointConfig) (netio.Endpoint, error) {
 		_ = mconn.SetWriteBuffer(1 << 21)
 		ep.mconn = mconn
 	}
-	if nw.mtu > 0 {
-		ep.wire = newCoalescer(ep, nw.mtu, nw.delay, nw.clk)
-	}
+	ep.wire = newCoalescer(ep, nw.mtu, nw.delay, nw.clk)
 
 	nw.eps[cfg.ID] = ep
 	// Publish the actual bound address so ephemeral-port peers (":0") are
@@ -315,8 +305,7 @@ type Endpoint struct {
 	groups map[string]*net.UDPAddr // segment -> group address
 	gconns []*net.UDPConn          // joined group listening sockets
 
-	// wire is the coalescing send plane; nil when WireMTU is negative
-	// (the legacy one-frame-per-datagram path).
+	// wire is the coalescing send plane.
 	wire *coalescer
 	// batch is the platform send state (cached raw connections, scratch
 	// iovec arrays); only the single active drainer touches it.
@@ -354,12 +343,8 @@ func (e *Endpoint) LocalAddr() *net.UDPAddr {
 
 // Flush seals and transmits every coalesced frame still waiting for the
 // delay-bound timer. A nil error only means the datagrams were handed to
-// the kernel. No-op on an unbatched endpoint.
-func (e *Endpoint) Flush() {
-	if e.wire != nil {
-		e.wire.Flush()
-	}
-}
+// the kernel.
+func (e *Endpoint) Flush() { e.wire.Flush() }
 
 // Close implements netio.Endpoint: graceful shutdown — pending coalesced
 // frames flush, the sockets close, the receive loops drain, and only then
@@ -368,9 +353,7 @@ func (e *Endpoint) Close() error {
 	if e.closed.Swap(true) {
 		return nil
 	}
-	if e.wire != nil {
-		e.wire.close()
-	}
+	e.wire.close()
 	err := e.closeSockets()
 	e.wg.Wait()
 	e.net.detach(e)
@@ -400,8 +383,8 @@ var framePool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// appendFrameBody appends the port/class/payload body shared by the v1
-// frame format and the v2 container entries.
+// appendFrameBody appends the port/class/payload body of one container
+// entry.
 func appendFrameBody(b []byte, port, class string, payload []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(port)))
 	b = append(b, port...)
@@ -425,21 +408,6 @@ func uvarintLen(v uint64) int {
 		n++
 	}
 	return n
-}
-
-// marshalFrame encodes a v1 single-frame datagram into a pooled buffer.
-func marshalFrame(src netio.NodeID, port, class string, payload []byte) (*[]byte, error) {
-	need := 2 + 4 + 2*binary.MaxVarintLen64 + len(port) + len(class) + len(payload)
-	if need > maxFrame {
-		return nil, fmt.Errorf("udpnet: frame of %d bytes exceeds %d: %w", need, maxFrame, netio.ErrFrameTooLarge)
-	}
-	bp := framePool.Get().(*[]byte)
-	b := (*bp)[:0]
-	b = append(b, frameMagic, frameVersion)
-	b = binary.BigEndian.AppendUint32(b, uint32(src))
-	b = appendFrameBody(b, port, class, payload)
-	*bp = b
-	return bp, nil
 }
 
 // errBadFrame reports an undecodable datagram.
@@ -468,19 +436,7 @@ func parseBody(b []byte) (port, class string, payload []byte, err error) {
 	return string(p), string(c), b, nil
 }
 
-// parseFrame decodes a v1 datagram in place; port, class and payload
-// alias b.
-func parseFrame(b []byte) (src netio.NodeID, port, class string, payload []byte, err error) {
-	if len(b) < 6 || b[0] != frameMagic || b[1] != frameVersion {
-		return 0, "", "", nil, errBadFrame
-	}
-	src = netio.NodeID(int32(binary.BigEndian.Uint32(b[2:6])))
-	port, class, payload, err = parseBody(b[6:])
-	return src, port, class, payload, err
-}
-
-// Send implements netio.Endpoint: the frame is coalesced toward dst (or,
-// unbatched, transmitted point-to-point immediately).
+// Send implements netio.Endpoint: the frame is coalesced toward dst.
 func (e *Endpoint) Send(dst netio.NodeID, port, class string, payload []byte) error {
 	if e.closed.Load() {
 		return fmt.Errorf("udpnet: endpoint %d %w", e.id, netio.ErrClosed)
@@ -500,10 +456,7 @@ func (e *Endpoint) Send(dst netio.NodeID, port, class string, payload []byte) er
 	if addr == nil {
 		return fmt.Errorf("udpnet: %w: %d", netio.ErrUnknownNode, dst)
 	}
-	if e.wire != nil {
-		return e.wire.enqueue(wireDest{conn: e.conn, addr: addr}, port, class, payload)
-	}
-	return e.writeVia(e.conn, addr, port, class, payload)
+	return e.wire.enqueue(wireDest{conn: e.conn, addr: addr}, port, class, payload)
 }
 
 // Multicast implements netio.Endpoint: one datagram (possibly carrying
@@ -530,85 +483,44 @@ func (e *Endpoint) Multicast(seg, port, class string, payload []byte) error {
 	if gaddr == nil {
 		return fmt.Errorf("udpnet: %w: %q", netio.ErrNoMulticast, seg)
 	}
-	if e.wire != nil {
-		return e.wire.enqueue(wireDest{conn: e.mconn, addr: gaddr}, port, class, payload)
-	}
-	return e.writeVia(e.mconn, gaddr, port, class, payload)
+	return e.wire.enqueue(wireDest{conn: e.mconn, addr: gaddr}, port, class, payload)
 }
 
-// writeVia marshals and transmits one v1 frame through conn, counting the
-// transmission (the unbatched path).
-func (e *Endpoint) writeVia(conn *net.UDPConn, addr *net.UDPAddr, port, class string, payload []byte) error {
-	bp, err := marshalFrame(e.id, port, class, payload)
-	if err != nil {
-		return err
-	}
-	// Count before the write, like a radio counts what it keys up, even
-	// when the datagram is subsequently dropped.
-	e.counters.AddTx(class, len(payload))
-	e.counters.AddTxDatagram(len(*bp))
-	e.counters.AddTxSyscall()
-	_, werr := conn.WriteToUDP(*bp, addr)
-	framePool.Put(bp)
-	if werr != nil {
-		if e.closed.Load() {
-			return fmt.Errorf("udpnet: endpoint %d %w", e.id, netio.ErrClosed)
-		}
-		return fmt.Errorf("udpnet: node %d write to %v: %w", e.id, addr, werr)
-	}
-	return nil
-}
-
-// handleDatagram demultiplexes one received datagram — a v1 single frame
-// or a v2 container — to port handlers. Payload slices lent to handlers
-// alias the read buffer, honouring the netio.Handler borrowed-payload
-// contract; nothing is copied on this path.
+// handleDatagram demultiplexes one received container datagram to port
+// handlers. Payload slices lent to handlers alias the read buffer,
+// honouring the netio.Handler borrowed-payload contract; nothing is copied
+// on this path.
 func (e *Endpoint) handleDatagram(b []byte) {
-	if len(b) >= containerHdrLen && b[0] == frameMagic && b[1] == containerVersion {
-		src := netio.NodeID(int32(binary.BigEndian.Uint32(b[2:6])))
-		if src == e.id {
-			return // multicast loopback of our own transmission
-		}
-		count := int(binary.BigEndian.Uint16(b[6:8]))
-		e.counters.AddRxDatagram(len(b))
-		rest := b[containerHdrLen:]
-		for i := 0; i < count; i++ {
-			n, w := binary.Uvarint(rest)
-			if w <= 0 || n > uint64(len(rest)-w) {
-				e.logf("udpnet[%d]: drop container tail: frame %d/%d undecodable", e.id, i+1, count)
-				return
-			}
-			body := rest[w : w+int(n)]
-			rest = rest[w+int(n):]
-			port, class, payload, err := parseBody(body)
-			if err != nil {
-				e.logf("udpnet[%d]: drop container frame %d/%d: %v", e.id, i+1, count, err)
-				continue
-			}
-			if e.closed.Load() {
-				return
-			}
-			e.counters.AddRx(class, len(payload))
-			if h, ok := e.ports.Get(port); ok && h != nil {
-				h(src, port, payload)
-			}
-		}
+	if len(b) < containerHdrLen || b[0] != frameMagic || b[1] != containerVersion {
+		e.logf("udpnet[%d]: drop %d-byte datagram: %v", e.id, len(b), errBadFrame)
 		return
 	}
-	src, port, class, payload, err := parseFrame(b)
-	if err != nil {
-		e.logf("udpnet[%d]: drop %d-byte datagram: %v", e.id, len(b), err)
-		return
-	}
+	src := netio.NodeID(int32(binary.BigEndian.Uint32(b[2:6])))
 	if src == e.id {
 		return // multicast loopback of our own transmission
 	}
-	if e.closed.Load() {
-		return
-	}
+	count := int(binary.BigEndian.Uint16(b[6:8]))
 	e.counters.AddRxDatagram(len(b))
-	e.counters.AddRx(class, len(payload))
-	if h, ok := e.ports.Get(port); ok && h != nil {
-		h(src, port, payload)
+	rest := b[containerHdrLen:]
+	for i := 0; i < count; i++ {
+		n, w := binary.Uvarint(rest)
+		if w <= 0 || n > uint64(len(rest)-w) {
+			e.logf("udpnet[%d]: drop container tail: frame %d/%d undecodable", e.id, i+1, count)
+			return
+		}
+		body := rest[w : w+int(n)]
+		rest = rest[w+int(n):]
+		port, class, payload, err := parseBody(body)
+		if err != nil {
+			e.logf("udpnet[%d]: drop container frame %d/%d: %v", e.id, i+1, count, err)
+			continue
+		}
+		if e.closed.Load() {
+			return
+		}
+		e.counters.AddRx(class, len(payload))
+		if h, ok := e.ports.Get(port); ok && h != nil {
+			h(src, port, payload)
+		}
 	}
 }

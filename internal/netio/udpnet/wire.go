@@ -78,11 +78,22 @@ func newCoalescer(ep *Endpoint, mtu int, delay time.Duration, clk clock.Clock) *
 
 // enqueue coalesces one frame toward dest. The frame is accounted as
 // transmitted here — once enqueued it will reach the wire (flush on size,
-// timer, Flush, or Close), and a nil return means exactly what the
-// unbatched path's nil means: handed to the substrate, not acknowledged.
+// timer, Flush, or Close), and a nil return means handed to the substrate,
+// not acknowledged. A frame no datagram can carry is rejected before any
+// accounting or sealing.
 func (c *coalescer) enqueue(dest wireDest, port, class string, payload []byte) error {
 	body := frameBodyLen(port, class, payload)
 	entry := uvarintLen(uint64(body)) + body
+	alone := containerHdrLen + entry // the datagram this frame fills by itself
+	if alone > maxFrame {
+		return fmt.Errorf("udpnet: frame of %d bytes exceeds %d: %w", alone, maxFrame, netio.ErrFrameTooLarge)
+	}
+	// Seal at once when there is no delay budget, or (the oversize bypass)
+	// when the MTU budget cannot hold the frame: it then travels alone in a
+	// one-entry container, through the same sealed FIFO as everything else
+	// and behind a seal of its destination's open datagram, so
+	// per-destination order survives the detour.
+	sealNow := c.delay <= 0 || alone > c.mtu
 
 	c.mu.Lock()
 	if c.closed {
@@ -91,40 +102,25 @@ func (c *coalescer) enqueue(dest wireDest, port, class string, payload []byte) e
 	}
 	c.ep.counters.AddTx(class, len(payload))
 	drain := false
-	if containerHdrLen+entry > c.mtu {
-		// Oversize bypass: the frame travels alone as a v1 datagram. It is
-		// routed through the same sealed FIFO as everything else, behind a
-		// seal of its destination's open datagram, so per-destination order
-		// survives the detour.
+	d := c.open[dest]
+	if d != nil && len(*d.bp)+entry > c.mtu {
 		c.sealLocked(dest)
-		bp, err := marshalFrame(c.ep.id, port, class, payload)
-		if err != nil {
-			c.mu.Unlock()
-			return err
-		}
-		d := dgramPool.Get().(*dgram)
-		d.dest, d.bp, d.frames = dest, bp, 1
-		c.ready = append(c.ready, d)
+		d = nil
 		drain = true
-	} else {
-		d := c.open[dest]
-		if d != nil && len(*d.bp)+entry > c.mtu {
-			c.sealLocked(dest)
-			d = nil
-			drain = true
-		}
-		if d == nil {
-			d = dgramPool.Get().(*dgram)
-			bp := framePool.Get().(*[]byte)
-			b := (*bp)[:0]
-			b = append(b, frameMagic, containerVersion)
-			b = binary.BigEndian.AppendUint32(b, uint32(c.ep.id))
-			b = append(b, 0, 0) // count, patched at seal
-			*bp = b
-			d.dest, d.bp, d.frames = dest, bp, 0
-			c.open[dest] = d
+	}
+	if d == nil {
+		d = dgramPool.Get().(*dgram)
+		bp := framePool.Get().(*[]byte)
+		b := (*bp)[:0]
+		b = append(b, frameMagic, containerVersion)
+		b = binary.BigEndian.AppendUint32(b, uint32(c.ep.id))
+		b = append(b, 0, 0) // count, patched at seal
+		*bp = b
+		d.dest, d.bp, d.frames = dest, bp, 0
+		c.open[dest] = d
+		if !sealNow {
 			c.order = append(c.order, dest)
-			if !c.armed && c.delay > 0 {
+			if !c.armed {
 				c.armed = true
 				if c.timer == nil {
 					c.timer = c.clk.AfterFunc(c.delay, c.flushTimer)
@@ -133,17 +129,17 @@ func (c *coalescer) enqueue(dest wireDest, port, class string, payload []byte) e
 				}
 			}
 		}
-		b := *d.bp
-		b = binary.AppendUvarint(b, uint64(body))
-		b = appendFrameBody(b, port, class, payload)
-		*d.bp = b
-		d.frames++
-		if c.delay <= 0 {
-			// No delay budget: seal immediately. Packing still happens when
-			// concurrent senders queue behind an active drainer.
-			c.sealLocked(dest)
-			drain = true
-		}
+	}
+	b := *d.bp
+	b = binary.AppendUvarint(b, uint64(body))
+	b = appendFrameBody(b, port, class, payload)
+	*d.bp = b
+	d.frames++
+	if sealNow {
+		// Packing still happens when concurrent senders queue behind an
+		// active drainer.
+		c.sealLocked(dest)
+		drain = true
 	}
 	if len(c.ready) > 0 {
 		drain = drain || !c.draining

@@ -3,6 +3,7 @@ package udpnet_test
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -92,8 +93,7 @@ func TestWirePackingAtMTUBoundary(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	type flusher interface{ Flush() }
-	a.(flusher).Flush()
+	a.(flushEndpoint).Flush()
 	got := waitMsgs(t, rec, 8)
 	for i := range want {
 		if got[i] != want[i] {
@@ -154,14 +154,16 @@ func TestWireDelayFlushOnVirtualClock(t *testing.T) {
 }
 
 // TestWireOversizeBypass pins the bypass path: a frame too large for the
-// MTU travels alone as a v1 datagram, and doing so does not reorder it
-// against the coalesced frames around it.
+// MTU travels alone in a one-entry container (the only format the receiver
+// decodes, so delivery itself proves the format; the exact wire-byte count
+// pins the container overhead), and doing so does not reorder it against
+// the coalesced frames around it.
 func TestWireOversizeBypass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("udpnet socket tests skipped in -short mode")
 	}
-	a, _, rec := wirePair(t, udpnet.Config{WireMTU: 128, WireFlushDelay: time.Hour})
-	big := make([]byte, 200) // body 207 > MTU budget: must bypass
+	a, _, rec := wirePair(t, udpnet.Config{WireMTU: 1400, WireFlushDelay: time.Hour})
+	big := make([]byte, 8<<10) // the bulk_udp frame size: far over the MTU budget
 	for i := range big {
 		big[i] = 'B'
 	}
@@ -174,35 +176,30 @@ func TestWireOversizeBypass(t *testing.T) {
 	if err := a.Send(2, "p", "data", []byte("after")); err != nil {
 		t.Fatal(err)
 	}
-	type flusher interface{ Flush() }
-	a.(flusher).Flush()
+	a.(flushEndpoint).Flush()
 	got := waitMsgs(t, rec, 3)
 	if got[0] != "before" || got[1] != string(big) || got[2] != "after" {
 		t.Fatalf("order broken around oversize bypass: lengths %d,%d,%d", len(got[0]), len(got[1]), len(got[2]))
 	}
-	// "before" seals when the bypass arrives, the bypass is its own v1
-	// datagram, "after" flushes explicitly: 3 datagrams.
-	if c := a.Counters(); c.TxDatagrams != 3 {
+	// "before" seals when the bypass arrives, the bypass is its own
+	// container, "after" flushes explicitly: 3 datagrams, each an 8-byte
+	// header plus one length-prefixed entry (7 body bytes of port and class
+	// framing + payload).
+	c := a.Counters()
+	if c.TxDatagrams != 3 {
 		t.Fatalf("TxDatagrams = %d, want 3", c.TxDatagrams)
+	}
+	want := uint64((8 + 1 + 7 + len("before")) + (8 + 2 + 7 + len(big)) + (8 + 1 + 7 + len("after")))
+	if c.TxWireBytes != want {
+		t.Fatalf("TxWireBytes = %d, want %d (three one-entry containers)", c.TxWireBytes, want)
 	}
 }
 
-// TestWireUnbatchedMode pins the WireMTU<0 legacy path: one frame, one
-// datagram, one syscall — the benchmark baseline.
-func TestWireUnbatchedMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("udpnet socket tests skipped in -short mode")
-	}
-	a, _, rec := wirePair(t, udpnet.Config{WireMTU: -1})
-	for i := 0; i < 5; i++ {
-		if err := a.Send(2, "p", "data", []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitMsgs(t, rec, 5)
-	c := a.Counters()
-	if c.TxDatagrams != 5 || c.TxSyscalls != 5 {
-		t.Fatalf("TxDatagrams = %d, TxSyscalls = %d, want 5 each on the unbatched path", c.TxDatagrams, c.TxSyscalls)
+// TestWireRejectsNegativeMTU pins the retired unbatched mode: a negative
+// WireMTU is an invalid size like any other.
+func TestWireRejectsNegativeMTU(t *testing.T) {
+	if _, err := udpnet.New(udpnet.Config{WireMTU: -1}); err == nil {
+		t.Fatal("udpnet.New accepted WireMTU -1")
 	}
 }
 
@@ -227,16 +224,45 @@ func TestWireCloseFlushes(t *testing.T) {
 	}
 }
 
-// TestWireFrameTooLarge pins the typed oversize error on both send paths.
+// TestWireFrameTooLarge pins the typed oversize error, and that a frame
+// rejected for size is neither accounted as transmitted nor allowed to
+// seal its destination's open datagram: a port name long enough pushes a
+// legal payload past the 64 KiB datagram ceiling.
 func TestWireFrameTooLarge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("udpnet socket tests skipped in -short mode")
 	}
-	a, _, _ := wirePair(t, udpnet.Config{})
+	a, _, rec := wirePair(t, udpnet.Config{WireFlushDelay: time.Hour})
 	if err := a.Send(2, "p", "data", make([]byte, netio.MaxPayload+1)); !errors.Is(err, netio.ErrFrameTooLarge) {
 		t.Fatalf("Send oversize: err = %v, want netio.ErrFrameTooLarge", err)
 	}
+	if err := a.Send(2, "p", "data", []byte("open")); err != nil {
+		t.Fatal(err)
+	}
+	before := a.Counters()
+	longPort := strings.Repeat("x", 2<<10)
+	if err := a.Send(2, longPort, "data", make([]byte, netio.MaxPayload-16)); !errors.Is(err, netio.ErrFrameTooLarge) {
+		t.Fatalf("Send with %d-byte port: err = %v, want netio.ErrFrameTooLarge", len(longPort), err)
+	}
+	after := a.Counters()
+	if after.Tx["data"] != before.Tx["data"] {
+		t.Fatalf("rejected frame was accounted: Tx %+v -> %+v", before.Tx["data"], after.Tx["data"])
+	}
+	// Still open: the next small frame joins "open" in one datagram.
+	if err := a.Send(2, "p", "data", []byte("tail")); err != nil {
+		t.Fatal(err)
+	}
+	a.(flushEndpoint).Flush()
+	if got := waitMsgs(t, rec, 2); got[0] != "open" || got[1] != "tail" {
+		t.Fatalf("got %q, want [open tail]", got)
+	}
+	if c := a.Counters(); c.TxDatagrams != 1 {
+		t.Fatalf("TxDatagrams = %d, want 1: the rejected frame sealed the open datagram", c.TxDatagrams)
+	}
 	if err := a.Send(2, "p", "data", make([]byte, netio.MaxPayload)); err != nil {
 		t.Fatalf("Send at MaxPayload: %v", err)
+	}
+	if got := waitMsgs(t, rec, 3); len(got[2]) != netio.MaxPayload {
+		t.Fatalf("received %d bytes, want %d", len(got[2]), netio.MaxPayload)
 	}
 }

@@ -73,9 +73,8 @@ type ManagerConfig struct {
 	// SendWindow is the per-group send window: the maximum application
 	// casts in flight (credit consumed at Send, released when stability
 	// gossip confirms group-wide delivery). 0 means DefaultSendWindow;
-	// negative disables windowing (the pre-flow-control fire-and-forget
-	// behavior — unbounded retention under overload). The window applies
-	// to configurations carrying the reliable NAK layer; stacks without a
+	// Deploy rejects a negative value. The window applies to
+	// configurations carrying the reliable NAK layer; stacks without a
 	// stability plane (e.g. pure FEC) send unwindowed.
 	SendWindow int
 	// SendWindowBytes is the byte-denominated companion to SendWindow: a
@@ -99,17 +98,7 @@ func (c *ManagerConfig) sendWindow() int {
 	if c.SendWindow == 0 {
 		return DefaultSendWindow
 	}
-	if c.SendWindow < 0 {
-		return 0
-	}
 	return c.SendWindow
-}
-
-func (c *ManagerConfig) sendWindowBytes() int {
-	if c.SendWindowBytes <= 0 {
-		return 0
-	}
-	return c.SendWindowBytes
 }
 
 func (c *ManagerConfig) channelName() string {
@@ -236,11 +225,11 @@ func NewManager(cfg ManagerConfig) *Manager {
 		cfg:  cfg,
 		reg:  reg,
 		win:  flowctl.New(cfg.sendWindow(), cfg.clock()),
-		winB: flowctl.New(cfg.sendWindowBytes(), cfg.clock()),
+		winB: flowctl.New(cfg.SendWindowBytes, cfg.clock()),
 	}
 }
 
-// Window exposes the group's send window (nil when disabled).
+// Window exposes the group's send window.
 func (m *Manager) Window() *flowctl.Window { return m.win }
 
 // WindowBytes exposes the group's byte-denominated send window (nil when
@@ -297,6 +286,9 @@ func (m *Manager) Channel() *appia.Channel {
 // nothing — it is the initial deployment. Epoch starts at 1 unless the
 // caller passes a later one.
 func (m *Manager) Deploy(doc *appiaxml.Document, configName string, epoch uint64, members []appia.NodeID) error {
+	if m.cfg.SendWindow < 0 {
+		return fmt.Errorf("stack: negative SendWindow %d", m.cfg.SendWindow)
+	}
 	ch, err := m.build(doc, epoch, members)
 	if err != nil {
 		return err
@@ -325,9 +317,9 @@ func (m *Manager) Deploy(doc *appiaxml.Document, configName string, epoch uint64
 }
 
 // channelWindowed reports whether a channel contains the credit-releasing
-// reliable layer (and windowing is on at all).
+// reliable layer.
 func (m *Manager) channelWindowed(ch *appia.Channel) bool {
-	return (m.win != nil || m.winB != nil) && ch.SessionFor("group.nak") != nil
+	return ch.SessionFor("group.nak") != nil
 }
 
 // CurrentDocument returns the deployed configuration document (nil before
@@ -346,20 +338,18 @@ func (m *Manager) build(doc *appiaxml.Document, epoch uint64, members []appia.No
 		return nil, err
 	}
 	env := &appiaxml.Env{
-		Node:      m.cfg.Node,
-		Self:      m.cfg.Self,
-		Group:     m.cfg.Group,
-		Members:   group.NormalizeMembers(append([]appia.NodeID(nil), members...)),
-		Port:      m.cfg.portFor(epoch),
-		Registry:  m.cfg.Events,
-		Scheduler: m.cfg.Scheduler,
-		Deliver:   m.deliver,
-		Logf:      m.cfg.logf,
-		Clock:     m.cfg.clock(),
-	}
-	if m.win != nil {
-		env.Window = m.win
-		env.SendWindow = m.win.Capacity()
+		Node:       m.cfg.Node,
+		Self:       m.cfg.Self,
+		Group:      m.cfg.Group,
+		Members:    group.NormalizeMembers(append([]appia.NodeID(nil), members...)),
+		Port:       m.cfg.portFor(epoch),
+		Registry:   m.cfg.Events,
+		Scheduler:  m.cfg.Scheduler,
+		Deliver:    m.deliver,
+		Logf:       m.cfg.logf,
+		Clock:      m.cfg.clock(),
+		Window:     m.win,
+		SendWindow: m.win.Capacity(),
 	}
 	if m.winB != nil {
 		env.BytesWindow = m.winB
@@ -468,7 +458,6 @@ func (m *Manager) submit(payload []byte, mode sendMode, ctx context.Context) err
 		}
 		return err // ErrWindowFull or the context's error
 	}
-	credit := m.win != nil
 
 	// Byte credits, acquired strictly after the message credit (the fixed
 	// order rules out deadlock between the two windows). The clamped cost
@@ -485,9 +474,7 @@ func (m *Manager) submit(payload []byte, mode sendMode, ctx context.Context) err
 			err = m.winB.AcquireN(cost)
 		}
 		if err != nil {
-			if credit {
-				m.win.Release(1)
-			}
+			m.win.Release(1)
 			if errors.Is(err, flowctl.ErrWindowClosed) {
 				return ErrGroupClosed
 			}
@@ -495,9 +482,7 @@ func (m *Manager) submit(payload []byte, mode sendMode, ctx context.Context) err
 		}
 	}
 	release := func() {
-		if credit {
-			m.win.Release(1)
-		}
+		m.win.Release(1)
 		if cost > 0 {
 			m.winB.Release(cost)
 		}
@@ -547,7 +532,7 @@ func (m *Manager) submit(payload []byte, mode sendMode, ctx context.Context) err
 			// stack. The credit rides along with the buffered payload.
 			cp := make([]byte, len(payload))
 			copy(cp, payload)
-			m.state.buffered = append(m.state.buffered, heldSend{payload: cp, credit: credit, bytes: cost})
+			m.state.buffered = append(m.state.buffered, heldSend{payload: cp, credit: true, bytes: cost})
 			m.state.Unlock()
 			return nil
 		}
@@ -557,8 +542,8 @@ func (m *Manager) submit(payload []byte, mode sendMode, ctx context.Context) err
 
 		ev := &group.CastEvent{}
 		ev.Msg = appia.NewMessage(payload)
-		ev.Windowed = (credit || cost > 0) && windowed
-		if ev.Windowed {
+		ev.Windowed = windowed
+		if windowed {
 			ev.WindowBytes = cost
 		}
 		err := ch.Insert(ev, appia.Down)
@@ -572,7 +557,7 @@ func (m *Manager) submit(payload []byte, mode sendMode, ctx context.Context) err
 			release()
 			return err
 		}
-		if (credit || cost > 0) && !windowed {
+		if !windowed {
 			// No stability plane on this stack to return the credits: the
 			// send is fire-and-forget, so the credits come straight back.
 			release()
@@ -639,7 +624,7 @@ func (m *Manager) Reconfigure(doc *appiaxml.Document, configName string, epoch u
 	if rescued := pendingPayloads(old); len(rescued) > 0 {
 		held := make([]heldSend, len(rescued))
 		for i, p := range rescued {
-			held[i] = heldSend{payload: p, credit: oldWindowed && m.win != nil}
+			held[i] = heldSend{payload: p, credit: oldWindowed}
 			if oldWindowed && m.winB != nil {
 				// The byte cost is a pure function of the payload, so the
 				// rescued cast re-derives exactly what submit charged.

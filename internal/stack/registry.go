@@ -78,10 +78,6 @@ func NewStandardRegistry() *appiaxml.LayerRegistry {
 		if err != nil {
 			return nil, err
 		}
-		unbounded, err := p.Bool("unbounded-buffers", false)
-		if err != nil {
-			return nil, err
-		}
 		maxRetained, err := p.Int("max-retained", 0)
 		if err != nil {
 			return nil, err
@@ -90,16 +86,15 @@ func NewStandardRegistry() *appiaxml.LayerRegistry {
 			maxRetained = RetainedCap(env.SendWindow)
 		}
 		cfg := group.NakConfig{
-			Self:             env.Self,
-			Group:            env.Group,
-			InitialMembers:   env.Members,
-			NackDelay:        nackDelay,
-			StableInterval:   stable,
-			StableEvery:      stableEvery,
-			UnboundedBuffers: unbounded,
-			Window:           env.Window,
-			BytesWindow:      env.BytesWindow,
-			MaxRetained:      maxRetained,
+			Self:           env.Self,
+			Group:          env.Group,
+			InitialMembers: env.Members,
+			NackDelay:      nackDelay,
+			StableInterval: stable,
+			StableEvery:    stableEvery,
+			Window:         env.Window,
+			BytesWindow:    env.BytesWindow,
+			MaxRetained:    maxRetained,
 		}
 		if err := cfg.Validate(); err != nil {
 			return nil, err

@@ -35,9 +35,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -203,32 +201,18 @@ type Config struct {
 	// NackDelay tunes the control channel's retransmission timer.
 	NackDelay time.Duration
 	// StableInterval tunes the control channel's stability gossip period.
-	// Negative values are rejected by Start: disabling stability gossip
-	// would let the control channel's retransmission buffers grow without
-	// bound (see group.NakConfig.UnboundedBuffers for the test-only
-	// escape hatch at the layer level).
+	// 0 means the layer default; negative values are rejected by Start
+	// (group.ErrUnboundedNak): disabling stability gossip would let the
+	// control channel's retransmission buffers grow without bound.
 	StableInterval time.Duration
 	// SendWindow is the default group's send window: the maximum
 	// application casts in flight before Send blocks (TrySend returns
-	// ErrWindowFull). 0 means DefaultSendWindow; negative disables
-	// windowing. See GroupConfig.SendWindow.
+	// ErrWindowFull). 0 means DefaultSendWindow; negative is rejected by
+	// Start. See GroupConfig.SendWindow.
 	SendWindow int
 	// SendWindowBytes is the default group's byte-denominated send
 	// window. See GroupConfig.SendWindowBytes. 0 disables it.
 	SendWindowBytes int
-	// SchedulerWorkers sizes the node's shared scheduler pool: the fixed
-	// set of worker goroutines that execute every hosted group's protocol
-	// stack (the control plane keeps its own dedicated scheduler, so
-	// heartbeats and adaptation never queue behind data traffic). Group
-	// count and worker count are decoupled — a node hosting 1,000 groups
-	// runs the same few goroutines as one hosting 10, and idle groups cost
-	// nothing. 0 means GOMAXPROCS, overridable by the MORPHEUS_POOL
-	// environment variable ("dedicated" or a worker count — the CI
-	// determinism matrix uses it); DedicatedSchedulers (-1) restores the
-	// scheduler-goroutine-per-group model. Under a virtual clock the pool
-	// dispatches deterministically, so experiment results are identical at
-	// every setting.
-	SchedulerWorkers int
 	// Logf receives diagnostics; nil discards them.
 	Logf func(format string, args ...any)
 }
@@ -269,9 +253,8 @@ type GroupConfig struct {
 	// bounded-memory runtime). When the window is full, Send blocks
 	// through the group's clock, SendContext honours its context, and
 	// TrySend returns ErrWindowFull. 0 means DefaultSendWindow; negative
-	// disables windowing (unbounded retention, the pre-flow-control
-	// behavior). Configurations without the reliable NAK layer (pure FEC)
-	// send unwindowed regardless.
+	// is rejected by Join. Configurations without the reliable NAK layer
+	// (pure FEC) send unwindowed regardless.
 	SendWindow int
 	// SendWindowBytes supplements SendWindow with byte-accurate
 	// backpressure: each accepted Send also charges its payload length
@@ -288,7 +271,7 @@ type GroupConfig struct {
 type Node struct {
 	cfg      Config
 	endpoint Endpoint
-	pool     *appia.Pool      // shared executor for every group's stack (nil in dedicated mode)
+	pool     *appia.Pool      // shared executor for every group's stack, GOMAXPROCS workers
 	ctlSched *appia.Scheduler // control-plane scheduler (heartbeats, adaptation)
 	ctl      *appia.Channel
 	ctx      *cocaditem.Session
@@ -338,32 +321,8 @@ var (
 // channel.
 const ControlPort = "ctl"
 
-// DedicatedSchedulers, as Config.SchedulerWorkers, gives every hosted
-// group its own scheduler goroutine instead of the shared worker pool.
-const DedicatedSchedulers = -1
-
 // PoolStats is a snapshot of the node scheduler pool's dispatch counters.
 type PoolStats = appia.PoolStats
-
-// resolveWorkers maps Config.SchedulerWorkers (and the MORPHEUS_POOL
-// environment override used by the CI determinism matrix) to a pool size,
-// or DedicatedSchedulers.
-func resolveWorkers(n int) int {
-	if n != 0 {
-		return n
-	}
-	switch v := os.Getenv("MORPHEUS_POOL"); v {
-	case "", "0":
-		return 0 // NewPool defaults to GOMAXPROCS
-	case "dedicated":
-		return DedicatedSchedulers
-	default:
-		if k, err := strconv.Atoi(v); err == nil && k > 0 {
-			return k
-		}
-		return 0
-	}
-}
 
 // Start builds, deploys and starts a node: the shared control plane plus
 // the default group.
@@ -372,10 +331,8 @@ func Start(cfg Config) (*Node, error) {
 		return nil, ErrNoMembers
 	}
 	if cfg.StableInterval < 0 {
-		// A negative interval silently disables the only mechanism that
-		// bounds control-channel retransmission buffers; reject it instead
-		// of leaking by default (group.NakConfig.UnboundedBuffers is the
-		// layer-level opt-in for short-lived test channels).
+		// A negative interval would disable the only mechanism that bounds
+		// control-channel retransmission buffers.
 		return nil, fmt.Errorf("morpheus: %w", group.ErrUnboundedNak)
 	}
 	logf := netio.Logf(cfg.Logf).Or()
@@ -425,10 +382,8 @@ func Start(cfg Config) (*Node, error) {
 		cfg:      cfg,
 		endpoint: ep,
 		ctlSched: appia.NewSchedulerWithClock(cfg.Clock),
+		pool:     appia.NewPool(0, cfg.Clock),
 		groups:   make(map[string]*Group),
-	}
-	if w := resolveWorkers(cfg.SchedulerWorkers); w != DedicatedSchedulers {
-		n.pool = appia.NewPool(w, cfg.Clock)
 	}
 
 	// The default group rides on Config for backwards compatibility: a
@@ -450,10 +405,7 @@ func Start(cfg Config) (*Node, error) {
 			SendWindowBytes:   cfg.SendWindowBytes,
 		})
 		if err != nil {
-			n.ctlSched.Close()
-			if n.pool != nil {
-				n.pool.Close()
-			}
+			n.teardownEarly()
 			return nil, fmt.Errorf("morpheus: deploy initial config: %w", err)
 		}
 		n.groups[DefaultGroup] = g
@@ -534,9 +486,7 @@ func (n *Node) teardownEarly() {
 		}
 	}
 	n.ctlSched.Close()
-	if n.pool != nil {
-		n.pool.Close()
-	}
+	n.pool.Close()
 }
 
 // buildGroup constructs and deploys one hosted group: its own scheduler
@@ -577,14 +527,10 @@ func (n *Node) buildGroupAt(name string, gc GroupConfig, doc *Document, configNa
 	}
 	logf := netio.Logf(n.cfg.Logf).Or()
 	g := &Group{
-		name: name,
-		node: n,
-		ep:   &groupEndpoint{Endpoint: n.endpoint},
-	}
-	if n.pool != nil {
-		g.sched = n.pool.NewScheduler()
-	} else {
-		g.sched = appia.NewSchedulerWithClock(n.cfg.Clock)
+		name:  name,
+		node:  n,
+		ep:    &groupEndpoint{Endpoint: n.endpoint},
+		sched: n.pool.NewScheduler(),
 	}
 	g.manager = stack.NewManager(stack.ManagerConfig{
 		Node:            g.ep,
@@ -606,14 +552,11 @@ func (n *Node) buildGroupAt(name string, gc GroupConfig, doc *Document, configNa
 		OnViewChange: gc.OnViewChange,
 		Logf:         logf,
 	})
-	if win := g.manager.Window(); win != nil {
-		// Bounded-mailbox mode rides along with the send window: external
-		// ingress (this group's sends) is gated once the mailbox holds
-		// several windows' worth of hops, while intra-stack and network
-		// insertions stay non-blocking.
-		high, low := stack.MailboxBounds(win.Capacity())
-		g.sched.SetMailboxBounds(high, low)
-	}
+	// Bounded-mailbox mode rides along with the send window: external
+	// ingress (this group's sends) is gated once the mailbox holds several
+	// windows' worth of hops, while intra-stack and network insertions stay
+	// non-blocking.
+	g.sched.SetMailboxBounds(stack.MailboxBounds(g.manager.Window().Capacity()))
 	g.cfg = gc
 	if err := g.manager.Deploy(doc, configName, epoch, deployMembers); err != nil {
 		g.teardown()
@@ -915,14 +858,8 @@ func (n *Node) Clock() Clock { return n.cfg.Clock }
 func (n *Node) Endpoint() Endpoint { return n.endpoint }
 
 // PoolStats snapshots the node scheduler pool's dispatch counters (worker
-// batches, wake-ups, steals). The zero value is returned in dedicated mode
-// (Config.SchedulerWorkers == DedicatedSchedulers).
-func (n *Node) PoolStats() PoolStats {
-	if n.pool == nil {
-		return PoolStats{}
-	}
-	return n.pool.Stats()
-}
+// batches, wake-ups, steals).
+func (n *Node) PoolStats() PoolStats { return n.pool.Stats() }
 
 // VNode exposes the virtual network attachment (counters, battery, crash
 // injection) when the node runs on the vnet convenience path; it returns
@@ -1019,11 +956,9 @@ func (n *Node) Close() error {
 		}
 	}
 	n.ctlSched.Close()
-	if n.pool != nil {
-		// Last: every group scheduler has fully drained by now, so the
-		// workers are idle.
-		n.pool.Close()
-	}
+	// Last: every group scheduler has fully drained by now, so the workers
+	// are idle.
+	n.pool.Close()
 	return firstErr
 }
 

@@ -109,8 +109,9 @@ func TestSendContextUnblocks(t *testing.T) {
 }
 
 // TestByteWindowBackpressure pins the byte-denominated send window end
-// to end: with the message window off and SendWindowBytes tiny, large
-// casts exhaust the byte budget and TrySend reports ErrWindowFull; the
+// to end: with SendWindowBytes tiny, large casts exhaust the byte budget
+// long before the (default) message window and TrySend reports
+// ErrWindowFull; the
 // same stability watermark that frees message credits returns the bytes,
 // and at quiescence every acquired byte has been released.
 func TestByteWindowBackpressure(t *testing.T) {
@@ -121,7 +122,6 @@ func TestByteWindowBackpressure(t *testing.T) {
 		n, err := Start(Config{
 			World: w, ID: id, Kind: Fixed, Members: members,
 			SendWindowBytes: 256,
-			SendWindow:      -1, // message window off: bytes alone gate
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -168,10 +168,10 @@ func TestByteWindowBackpressure(t *testing.T) {
 	if st.WindowBytes.Acquired != st.WindowBytes.Released {
 		t.Fatalf("byte credit accounting: acquired %d != released %d", st.WindowBytes.Acquired, st.WindowBytes.Released)
 	}
-	// The message window stayed disabled: byte gating must not have
-	// manufactured message credits.
-	if st.Window.Capacity != 0 || st.Window.Acquired != 0 {
-		t.Fatalf("message window was engaged: %+v", st.Window)
+	// The message window never came near its capacity (bytes alone gated),
+	// and its credits balance too.
+	if st.Window.HighWater > 3 || st.Window.Rejected != 0 || st.Window.Acquired != st.Window.Released {
+		t.Fatalf("message window stats = %+v", st.Window)
 	}
 }
 
@@ -313,8 +313,7 @@ func TestWindowCreditAccountingAcrossReconfig(t *testing.T) {
 
 // TestUnboundedNakConfigRejected is the satellite guard: a negative
 // StableInterval (stability gossip off — the only bound on retransmission
-// buffers) is rejected at the facade and at the XML layer factory unless
-// the explicit UnboundedBuffers opt-in is set.
+// buffers) is rejected at the facade and at the XML layer factory.
 func TestUnboundedNakConfigRejected(t *testing.T) {
 	w := hybridWorld(t, 45)
 	_, err := Start(Config{
@@ -329,13 +328,9 @@ func TestUnboundedNakConfigRejected(t *testing.T) {
 	if err := cfg.Validate(); !errors.Is(err, group.ErrUnboundedNak) {
 		t.Fatalf("Validate = %v, want ErrUnboundedNak", err)
 	}
-	cfg.UnboundedBuffers = true
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("explicit opt-in rejected: %v", err)
-	}
 
 	// XML path: a document pinning stable-interval negative fails to
-	// deploy without the opt-in and deploys with it.
+	// deploy.
 	doc := core.PlainConfig()
 	for i := range doc.Channels[0].Sessions {
 		if doc.Channels[0].Sessions[i].Layer == "group.nak" {
@@ -348,6 +343,30 @@ func TestUnboundedNakConfigRejected(t *testing.T) {
 		InitialConfig: doc, InitialConfigName: "leaky",
 	}); !errors.Is(err, group.ErrUnboundedNak) {
 		t.Fatalf("deploy of gossip-less config = %v, want ErrUnboundedNak", err)
+	}
+}
+
+// TestNegativeSendWindowRejected pins the other retired unbounded-memory
+// mode: a negative SendWindow no longer means "windowing off" — Start and
+// Join refuse it, and the refused Join leaves the node usable.
+func TestNegativeSendWindowRejected(t *testing.T) {
+	w := hybridWorld(t, 47)
+	if _, err := Start(Config{
+		World: w, ID: 1, Kind: Fixed, Members: []NodeID{1},
+		SendWindow: -1,
+	}); err == nil {
+		t.Fatal("Start accepted SendWindow -1")
+	}
+	n, err := Start(Config{World: w, ID: 2, Kind: Fixed, Members: []NodeID{2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if _, err := n.Join("aux", GroupConfig{SendWindow: -1}); err == nil {
+		t.Fatal("Join accepted SendWindow -1")
+	}
+	if _, err := n.Join("aux", GroupConfig{SendWindow: 4}); err != nil {
+		t.Fatalf("Join after the refused one: %v", err)
 	}
 }
 

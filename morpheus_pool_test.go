@@ -2,6 +2,7 @@ package morpheus_test
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -18,9 +19,9 @@ import (
 // load, the first leaving while the second floods. It asserts
 //
 //   - exactly-once, zero-leak delivery in every group at every member,
-//   - and bit-identical delivery traces at equal seed across the default
-//     pool, a single-worker pool, and dedicated per-group schedulers —
-//     the "pooled dispatch does not change the execution" theorem stated
+//   - and bit-identical delivery traces at equal seed between the default
+//     pool (GOMAXPROCS workers) and a single-worker pool (GOMAXPROCS 1) —
+//     the "worker count does not change the execution" theorem stated
 //     through the public Join/Send/Leave surface.
 //
 // Under -race this doubles as the proof that pool handoffs (park → post →
@@ -32,20 +33,17 @@ func TestPooledManyGroupStress(t *testing.T) {
 		groups = 96
 	}
 	const seed = 31
-	pooled := runPooledStress(t, seed, groups, 0)
-	single := runPooledStress(t, seed, groups, 1)
-	dedicated := runPooledStress(t, seed, groups, morpheus.DedicatedSchedulers)
-	if pooled != single {
+	pooled := runPooledStress(t, seed, groups)
+	// The pool is sized from GOMAXPROCS when the node starts.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if single := runPooledStress(t, seed, groups); pooled != single {
 		t.Fatal("equal-seed traces diverged: default pool vs single-worker pool")
-	}
-	if pooled != dedicated {
-		t.Fatal("equal-seed traces diverged: pooled vs dedicated schedulers")
 	}
 }
 
-// runPooledStress executes one join/flood/leave wave scenario with the
-// given scheduler-worker setting and returns the canonical delivery trace.
-func runPooledStress(t *testing.T, seed int64, groupsN, workers int) string {
+// runPooledStress executes one join/flood/leave wave scenario and returns
+// the canonical delivery trace.
+func runPooledStress(t *testing.T, seed int64, groupsN int) string {
 	t.Helper()
 	const (
 		msgsPerGroup = 2 // per sending node
@@ -74,11 +72,10 @@ func runPooledStress(t *testing.T, seed int64, groupsN, workers int) string {
 	for _, id := range members {
 		nd, err := morpheus.Start(morpheus.Config{
 			World: w, ID: id, Kind: morpheus.Fixed, Segments: []string{"lan"},
-			Members:          members,
-			SchedulerWorkers: workers,
-			ContextInterval:  40 * time.Millisecond,
-			EvalInterval:     50 * time.Millisecond,
-			PublishOnChange:  true,
+			Members:         members,
+			ContextInterval: 40 * time.Millisecond,
+			EvalInterval:    50 * time.Millisecond,
+			PublishOnChange: true,
 		})
 		if err != nil {
 			t.Fatalf("start node %d: %v", id, err)
@@ -195,16 +192,9 @@ func runPooledStress(t *testing.T, seed int64, groupsN, workers int) string {
 	wave2Done()
 	waitDelivered(half, groupsN)
 
-	// The pool actually hosted the run (or was genuinely off).
-	ps := nodes[1].PoolStats()
-	if workers == morpheus.DedicatedSchedulers {
-		if ps.Workers != 0 {
-			t.Fatalf("dedicated mode reports a pool: %+v", ps)
-		}
-	} else {
-		if ps.Workers == 0 || ps.Batches == 0 || !ps.Deterministic {
-			t.Fatalf("pooled virtual run has implausible pool stats: %+v", ps)
-		}
+	// The pool actually hosted the run, at the size GOMAXPROCS dictates.
+	if ps := nodes[1].PoolStats(); ps.Workers != runtime.GOMAXPROCS(0) || ps.Batches == 0 || !ps.Deterministic {
+		t.Fatalf("pooled virtual run has implausible pool stats: %+v", ps)
 	}
 
 	// Exactly-once, zero-leak verification per (node, group).
