@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench golden chaos chaos-scale chaos-churn soak lint
+.PHONY: check build vet test race fuzz bench golden chaos chaos-scale chaos-churn soak lint
 
 # check is the CI entry point: vet, build, full test suite, bench smoke run.
 check: vet build test bench
@@ -32,6 +32,16 @@ test:
 # udpnet tests skip themselves under -short, keeping the job reliable).
 race:
 	$(GO) test -race -short ./...
+
+# fuzz gives each native fuzz target a short budget beyond its seed corpus
+# (which plain `go test` already runs): the udpnet datagram parser and the
+# reliable layer's handling of sequence numbers, NACK ranges and stability
+# vectors off the wire. The minimizer is capped so the budget is spent on new
+# inputs; a crasher is written to the package's testdata/fuzz — commit it.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test ./internal/netio/udpnet -run '^$$' -fuzz '^FuzzHandleDatagram$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
+	$(GO) test ./internal/group -run '^$$' -fuzz '^FuzzNakWire$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
 
 # golden replays the virtualized experiments (figure3, E5, E6, E9, E10)
 # three times each and checks the counter-matrix hashes against the pins in

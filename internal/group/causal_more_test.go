@@ -136,7 +136,7 @@ func TestStabilityPrunesBuffers(t *testing.T) {
 		var n int
 		done := make(chan struct{})
 		if err := nodes[0].sched.Do(func() {
-			n = len(sess.sent)
+			n = sess.sent.live
 			close(done)
 		}); err != nil {
 			return false

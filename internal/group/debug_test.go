@@ -63,10 +63,10 @@ func TestDebugLossRecovery(t *testing.T) {
 		done := make(chan struct{})
 		if err := tn.sched.Do(func() {
 			defer close(done)
-			t.Logf("  nextSeq=%d sent=%d", sess.nextSeq, len(sess.sent))
+			t.Logf("  nextSeq=%d sent=%d", sess.nextSeq, sess.sent.live)
 			for o, st := range sess.recv {
 				t.Logf("  origin %d: next=%d known=%d buffered=%d armed=%v tries=%d",
-					o, st.next, st.known, len(st.buffer), st.nackArmed, st.nackTries)
+					o, st.next, st.known, st.reorder.live, st.cancel != nil, st.nackTries)
 			}
 		}); err != nil {
 			t.Fatal(err)

@@ -49,11 +49,14 @@ type stackOpts struct {
 	gms      GMSConfig
 	loss     float64
 	seed     int64
+	// tap, when set, sits directly below node 1's reliable layer and sees
+	// its wire traffic in both directions.
+	tap appia.Layer
 }
 
 // buildCluster creates n nodes (IDs 1..n) on one lossless LAN running the
 // full group stack, started and ready.
-func buildCluster(t *testing.T, n int, opts stackOpts) []*testNode {
+func buildCluster(t testing.TB, n int, opts stackOpts) []*testNode {
 	t.Helper()
 	seed := opts.seed
 	if seed == 0 {
@@ -95,9 +98,11 @@ func buildCluster(t *testing.T, n int, opts stackOpts) []*testNode {
 		layers := []appia.Layer{
 			transport.NewPTPLayer(transport.Config{Node: vn, Port: "grp", Logf: t.Logf}),
 			NewFanoutLayer(FanoutConfig{Self: id, InitialMembers: members}),
-			NewNakLayer(nak),
-			NewGMSLayer(gms),
 		}
+		if opts.tap != nil && i == 0 {
+			layers = append(layers, opts.tap)
+		}
+		layers = append(layers, NewNakLayer(nak), NewGMSLayer(gms))
 		if opts.causal {
 			layers = append(layers, NewCausalLayer(CausalConfig{Self: id}))
 		}
@@ -139,7 +144,7 @@ func buildCluster(t *testing.T, n int, opts stackOpts) []*testNode {
 }
 
 // cast multicasts a payload from the node.
-func (tn *testNode) cast(t *testing.T, payload string) {
+func (tn *testNode) cast(t testing.TB, payload string) {
 	t.Helper()
 	ev := &CastEvent{}
 	ev.Msg = appia.NewMessage([]byte(payload))
@@ -149,7 +154,7 @@ func (tn *testNode) cast(t *testing.T, payload string) {
 }
 
 // eventually polls cond until it holds or the deadline passes.
-func eventually(t *testing.T, d time.Duration, what string, cond func() bool) {
+func eventually(t testing.TB, d time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {

@@ -2,7 +2,6 @@ package group
 
 import (
 	"errors"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -63,15 +62,18 @@ type NakConfig struct {
 	// byte-denominated send window (flowctl credits per payload byte)
 	// through the reliable layer.
 	BytesWindow CreditReleaser
-	// MaxRetained hard-caps each retention map (own-cast retransmission
-	// buffer, per-origin history, per-origin reorder buffer) at this many
-	// entries. 0 means uncapped. With send windows active the caps are a
-	// defensive backstop — the slowest-peer stability watermark already
-	// bounds retention to the members' window sizes — so an eviction
-	// (counted in Stats) indicates an accounting bug or an unwindowed
-	// flooder. Evicted entries degrade repair (a peer that still needs
-	// them must recover via flush or rejoin, exactly as for entries
-	// garbage-collected by stability) but never FIFO correctness.
+	// MaxRetained hard-caps each retention ring: the own-cast buffer and
+	// each per-origin history hold at most this many payloads (oldest
+	// dropped first), each per-origin reorder buffer only casts fewer than
+	// this many sequence numbers ahead of the next delivery. 0 means
+	// uncapped (the reorder span then falls back to maxReorderSpan). With
+	// send windows active the caps are a defensive backstop — the
+	// slowest-peer stability watermark already bounds retention to the
+	// members' window sizes — so an eviction (counted in Stats) indicates
+	// an accounting bug or an unwindowed flooder. Evicted entries degrade
+	// repair (a peer that still needs them must recover via flush or
+	// rejoin, exactly as for entries garbage-collected by stability) but
+	// never FIFO correctness.
 	MaxRetained int
 }
 
@@ -90,6 +92,11 @@ func (c *NakConfig) nackDelay() time.Duration {
 	}
 	return c.NackDelay
 }
+
+// maxReorderSpan bounds a reorder ring when MaxRetained does not: the slot a
+// buffered cast takes is chosen by a sequence number read off a datagram,
+// so a corrupt far-future seq must not size an allocation.
+const maxReorderSpan = 1 << 16
 
 func (c *NakConfig) stableInterval() time.Duration {
 	if c.StableInterval <= 0 { // negative only if the caller skipped Validate
@@ -141,13 +148,11 @@ func NewNakLayer(cfg NakConfig) *NakLayer {
 // NewSession implements appia.Layer.
 func (l *NakLayer) NewSession() appia.Session {
 	return &nakSession{
-		cfg:      l.cfg,
-		members:  l.cfg.InitialMembers,
-		recv:     make(map[appia.NodeID]*originState),
-		sent:     make(map[uint64]appia.Sendable),
-		peerVec:  make(map[appia.NodeID]DeliveredVector),
-		windowed: make(map[uint64]int),
-		nextSeq:  1,
+		cfg:     l.cfg,
+		members: l.cfg.InitialMembers,
+		recv:    make(map[appia.NodeID]*originState),
+		peerVec: make(map[appia.NodeID]DeliveredVector),
+		nextSeq: 1,
 	}
 }
 
@@ -177,39 +182,46 @@ func (s NakStats) Merge(o NakStats) NakStats {
 
 // originState tracks reception from one origin.
 type originState struct {
-	next      uint64 // next sequence number to deliver
-	known     uint64 // highest sequence known to exist (buffered or gossiped)
-	buffer    map[uint64]*CastEvent
-	events    map[uint64]appia.Event    // full events for re-forwarding
-	history   map[uint64]appia.Sendable // delivered casts kept for peers
-	nackArmed bool
+	next      uint64                  // next sequence number to deliver
+	known     uint64                  // highest sequence known to exist (received or gossiped)
+	reorder   seqRing[Caster]         // casts received ahead of next, re-forwarded when the gap closes
+	history   seqRing[appia.Sendable] // delivered casts kept for peers
 	nackTries int
-	cancel    func()
+	cancel    func() // stops the armed NACK timer; nil while none is armed
 }
 
 // missing reports whether this origin has sequence numbers we still lack.
+// A buffered cast is always at or above next and was recorded in known on
+// arrival, so known alone decides.
 func (st *originState) missing() bool {
-	return len(st.buffer) > 0 || st.known >= st.next
+	return st.known >= st.next
+}
+
+// sentSlot is one own cast awaiting stability: the retransmission payload
+// and the send-window credits the cast holds (bytes is its byte-window cost,
+// 0 with byte windowing disabled). A MaxRetained eviction drops ev only; the
+// slot and its credits stay until the stability watermark (or a view
+// install, or teardown) releases them, so a credit is never lost to the cap.
+type sentSlot struct {
+	ev     appia.Sendable
+	credit bool
+	bytes  int
 }
 
 type nakSession struct {
 	cfg     NakConfig
 	members []appia.NodeID
 
-	nextSeq uint64                    // next sequence number for own casts
-	sent    map[uint64]appia.Sendable // retransmission buffer (own casts)
+	nextSeq uint64            // next sequence number for own casts
+	sent    seqRing[sentSlot] // own casts not yet stable; end == nextSeq
 	recv    map[appia.NodeID]*originState
 	peerVec map[appia.NodeID]DeliveredVector // last stability vector per peer
 
-	// windowed tracks which of our own seqs hold send-window credits,
-	// independently of the sent map (an evicted sent entry must still
-	// release its credits when its stability watermark arrives). The value
-	// is the cast's byte-window cost (0 with byte windowing disabled);
-	// membership alone marks the message credit.
-	windowed map[uint64]int
-
-	// Retention accounting: live totals (scheduler goroutine only) and
-	// atomic high-water marks readable from any goroutine.
+	// Retention accounting: payload totals (scheduler goroutine only) and
+	// atomic high-water marks readable from any goroutine. The sent ring's
+	// payloads are always its cntSent highest slots (eviction drops the
+	// lowest payload, stability the lowest slots).
+	cntSent    int
 	cntHistory int
 	cntBuffer  int
 	hwSent     atomic.Int64
@@ -247,7 +259,11 @@ func (s *nakSession) Handle(ch *appia.Channel, ev appia.Event) {
 	// subtypes...) must take the cast path regardless of concrete type; a
 	// type switch alone cannot express that.
 	if c, ok := ev.(Caster); ok {
-		s.processCast(ch, c.CastBase(), ev)
+		if c.CastBase().Dir() == appia.Down {
+			s.sendCast(ch, c)
+		} else {
+			s.receiveCast(ch, c)
+		}
 		return
 	}
 	switch e := ev.(type) {
@@ -269,7 +285,7 @@ func (s *nakSession) Handle(ch *appia.Channel, ev appia.Event) {
 		// gone either way — holding their credits would leak the
 		// window). Casts still buffered above in the GMS keep their
 		// credits: the stack manager rescues and resubmits them.
-		s.releaseAllWindowed()
+		s.releaseSent(s.nextSeq)
 		ch.Forward(ev)
 	case *Nack:
 		s.handleNack(ch, e)
@@ -292,16 +308,9 @@ func (s *nakSession) Handle(ch *appia.Channel, ev appia.Event) {
 	}
 }
 
-func (s *nakSession) processCast(ch *appia.Channel, base *CastEvent, ev appia.Event) {
-	if base.Dir() == appia.Down {
-		s.sendCast(ch, base, ev)
-		return
-	}
-	s.receiveCast(ch, base, ev)
-}
-
 // sendCast stamps, stores, self-delivers and spreads an outgoing cast.
-func (s *nakSession) sendCast(ch *appia.Channel, base *CastEvent, ev appia.Event) {
+func (s *nakSession) sendCast(ch *appia.Channel, ev Caster) {
+	base := ev.CastBase()
 	if base.Dest != appia.NoNode {
 		// Addressed cast (a retransmission we produced below, or targeted
 		// control): pass through untouched.
@@ -325,23 +334,25 @@ func (s *nakSession) sendCast(ch *appia.Channel, base *CastEvent, ev appia.Event
 	m.PushUvarint(seq)
 	m.PushUvarint(uint64(uint32(s.cfg.Self)))
 
-	sendable, ok := ev.(appia.Sendable)
-	if !ok {
-		// Unreachable: anything embedding CastEvent is Sendable.
-		return
-	}
 	// Retransmission buffer keeps a full clone, preserving the concrete
 	// type so a retransmitted Propose still decodes as a Propose.
-	s.sent[seq] = appia.CloneSendable(sendable)
+	slot := sentSlot{ev: appia.CloneSendable(ev)}
 	if base.Windowed && (s.cfg.Window != nil || s.cfg.BytesWindow != nil) {
-		s.windowed[seq] = base.WindowBytes
+		slot.credit, slot.bytes = true, base.WindowBytes
 	}
-	bumpHW(&s.hwSent, len(s.sent))
-	if cap := s.cfg.MaxRetained; cap > 0 && len(s.sent) > cap {
-		// Evict the oldest entry: it is the closest to its stability
+	s.sent.put(seq, slot)
+	s.cntSent++
+	bumpHW(&s.hwSent, s.cntSent)
+	if cap := s.cfg.MaxRetained; cap > 0 && s.cntSent > cap {
+		// Evict the oldest payload: it is the closest to its stability
 		// watermark, and handleNack already treats a missing entry as
 		// "garbage collected — recover via flush".
-		s.evictLowest(s.sent)
+		low := s.nextSeq - uint64(s.cntSent)
+		evicted := s.sent.get(low)
+		evicted.ev = nil
+		s.sent.put(low, evicted)
+		s.cntSent--
+		s.evicted.Add(1)
 	}
 
 	// Self-delivery: our own casts are in-order by construction, so they
@@ -351,7 +362,7 @@ func (s *nakSession) sendCast(ch *appia.Channel, base *CastEvent, ev appia.Event
 	if st.next == seq {
 		st.next++
 	}
-	selfCopy := appia.CloneSendable(sendable)
+	selfCopy := appia.CloneSendable(ev)
 	scb := selfCopy.SendableBase()
 	scb.Source = s.cfg.Self
 	sm := scb.Msg
@@ -376,7 +387,8 @@ func (s *nakSession) sendCast(ch *appia.Channel, base *CastEvent, ev appia.Event
 
 // receiveCast handles an incoming (or self-copied) cast: pop headers,
 // dedupe, deliver in per-origin order.
-func (s *nakSession) receiveCast(ch *appia.Channel, base *CastEvent, ev appia.Event) {
+func (s *nakSession) receiveCast(ch *appia.Channel, ev Caster) {
+	base := ev.CastBase()
 	m := base.EnsureMsg()
 	o, err := m.PopUvarint()
 	if err != nil {
@@ -399,63 +411,38 @@ func (s *nakSession) receiveCast(ch *appia.Channel, base *CastEvent, ev appia.Ev
 	case seq < st.next:
 		return // duplicate
 	case seq == st.next:
-		st.next++
-		s.storeHistory(st, origin, seq, ev)
-		ch.Forward(ev)
-		s.countDelivery(ch)
-		s.drain(ch, origin, st)
+		s.deliver(ch, origin, st, ev)
 	default:
-		if _, dup := st.buffer[seq]; !dup {
+		span := uint64(maxReorderSpan)
+		if s.cfg.MaxRetained > 0 {
+			span = uint64(s.cfg.MaxRetained)
+		}
+		switch {
+		case seq-st.next >= span:
+			// Refuse a cast too far ahead to buffer: the lowest entries are
+			// what closes the gap, and st.known already records the refused
+			// seq's existence, so the NACK rotation will re-request it once
+			// the gap in front has drained.
+			s.evicted.Add(1)
+		case st.reorder.get(seq) == nil:
 			// Buffer the event itself; we re-forward it when the gap
-			// closes. Keep only the base pointer: forwarding needs the
-			// original ev, so store via map of event.
-			st.buffer[seq] = base
-			s.bufferEv(st, seq, ev)
+			// closes.
+			st.reorder.advance(st.next)
+			st.reorder.put(seq, ev)
 			s.cntBuffer++
 			bumpHW(&s.hwBuffer, s.cntBuffer)
-			if cap := s.cfg.MaxRetained; cap > 0 && len(st.buffer) > cap {
-				// Evict the HIGHEST buffered seq: the lowest entries are
-				// what closes the gap, and st.known already records the
-				// evicted seq's existence, so the NACK rotation will
-				// re-request it once the gap in front has drained.
-				var high uint64
-				for q := range st.buffer {
-					if q > high {
-						high = q
-					}
-				}
-				delete(st.buffer, high)
-				delete(st.events, high)
-				s.cntBuffer--
-				s.evicted.Add(1)
-			}
 		}
 		s.armNack(ch, origin, st)
 	}
 }
 
-// bufferedEvs maps the buffered base cast to the full event for
-// re-forwarding. To avoid a second map we piggyback on originState.
-func (s *nakSession) bufferEv(st *originState, seq uint64, ev appia.Event) {
-	if st.events == nil {
-		st.events = make(map[uint64]appia.Event)
-	}
-	st.events[seq] = ev
-}
-
-// drain delivers any buffered casts that are now in order.
-func (s *nakSession) drain(ch *appia.Channel, origin appia.NodeID, st *originState) {
-	for {
-		ev, ok := st.events[st.next]
-		if !ok {
-			break
-		}
-		seq := st.next
-		delete(st.events, seq)
-		delete(st.buffer, seq)
-		s.cntBuffer--
+// deliver hands up ev, the cast at st.next (nil if it is still missing), and
+// behind it every buffered cast that is now in order.
+func (s *nakSession) deliver(ch *appia.Channel, origin appia.NodeID, st *originState, ev Caster) {
+	for ; ev != nil; ev = st.reorder.get(st.next) {
+		s.cntBuffer -= st.reorder.advance(st.next + 1)
+		s.storeHistory(st, origin, st.next, ev)
 		st.next++
-		s.storeHistory(st, origin, seq, ev)
 		ch.Forward(ev)
 		s.countDelivery(ch)
 	}
@@ -464,7 +451,6 @@ func (s *nakSession) drain(ch *appia.Channel, origin appia.NodeID, st *originSta
 			st.cancel()
 			st.cancel = nil
 		}
-		st.nackArmed = false
 		st.nackTries = 0
 	}
 }
@@ -473,48 +459,25 @@ func (s *nakSession) drain(ch *appia.Channel, origin appia.NodeID, st *originSta
 // can retransmit on behalf of a crashed or partitioned origin. The clone
 // re-acquires the origin/seq headers popped during reception. History is
 // pruned by the same stability watermarks as the send buffer.
-func (s *nakSession) storeHistory(st *originState, origin appia.NodeID, seq uint64, ev appia.Event) {
-	sendable, ok := ev.(appia.Sendable)
-	if !ok {
-		return
-	}
-	cp := appia.CloneSendable(sendable)
+func (s *nakSession) storeHistory(st *originState, origin appia.NodeID, seq uint64, ev Caster) {
+	cp := appia.CloneSendable(ev)
 	m := cp.SendableBase().EnsureMsg()
 	m.PushUvarint(seq)
 	m.PushUvarint(uint64(uint32(origin)))
-	if st.history == nil {
-		st.history = make(map[uint64]appia.Sendable)
-	}
-	if _, dup := st.history[seq]; !dup {
-		s.cntHistory++
-	}
-	st.history[seq] = cp
+	st.history.put(seq, cp)
+	s.cntHistory++
 	bumpHW(&s.hwHistory, s.cntHistory)
-	if cap := s.cfg.MaxRetained; cap > 0 && len(st.history) > cap {
-		s.evictLowest(st.history)
-		s.cntHistory--
-	}
-}
-
-// evictLowest drops the lowest-sequence entry of a retention map and
-// counts the eviction.
-func (s *nakSession) evictLowest(m map[uint64]appia.Sendable) {
-	var low uint64
-	first := true
-	for seq := range m {
-		if first || seq < low {
-			low, first = seq, false
-		}
-	}
-	if !first {
-		delete(m, low)
+	if cap := s.cfg.MaxRetained; cap > 0 && st.history.live > cap {
+		// History is stored in delivery order, so its payloads are the
+		// consecutive seqs below end: keep the newest cap of them.
+		s.cntHistory -= st.history.advance(st.history.end - uint64(cap))
 		s.evicted.Add(1)
 	}
 }
 
 // armNack schedules a retransmission request for the lowest gap.
 func (s *nakSession) armNack(ch *appia.Channel, origin appia.NodeID, st *originState) {
-	if st.nackArmed {
+	if st.cancel != nil {
 		return
 	}
 	if len(s.members) == 1 && s.members[0] == s.cfg.Self && origin != s.cfg.Self {
@@ -525,7 +488,6 @@ func (s *nakSession) armNack(ch *appia.Channel, origin appia.NodeID, st *originS
 		// would demand a history replay the join protocol exists to avoid.
 		return
 	}
-	st.nackArmed = true
 	sess := appia.Session(s)
 	st.cancel = ch.DeliverAfter(s.cfg.nackDelay(), sess, &nackTimeout{origin: origin})
 }
@@ -536,26 +498,18 @@ func (s *nakSession) armNack(ch *appia.Channel, origin appia.NodeID, st *originS
 // which keep a retransmission history for exactly this purpose.
 func (s *nakSession) fireNack(ch *appia.Channel, origin appia.NodeID) {
 	st := s.origin(origin)
-	st.nackArmed = false
 	st.cancel = nil
 	if !st.missing() {
 		return // gap closed meanwhile
 	}
 	// Request up to the first buffered message, or — when nothing is
 	// buffered and the gap is known only from stability gossip — up to the
-	// gossiped high-water mark.
+	// gossiped high-water mark. Either bound is at or above next: known
+	// because missing() holds, a buffered cast because it would otherwise
+	// have been delivered.
 	to := st.known
-	for seq := range st.buffer {
-		if seq-1 < to {
-			to = seq - 1
-		}
-	}
-	if to < st.next {
-		// Everything below the buffer is here; the buffer itself cannot
-		// drain yet only if a middle gap exists, which the loop above
-		// would have found. Nothing to request.
-		s.armNack(ch, origin, st)
-		return
+	if low, ok := st.reorder.first(); ok && low-1 < to {
+		to = low - 1
 	}
 	target := s.nackTarget(origin, st.nackTries)
 	st.nackTries++
@@ -605,21 +559,22 @@ func (s *nakSession) handleNack(ch *appia.Channel, e *Nack) {
 	origin := appia.NodeID(uint32(o))
 	requester := e.SendableBase().Source
 	sess := appia.Session(s)
-	lookup := func(seq uint64) (appia.Sendable, bool) {
-		if origin == s.cfg.Self {
-			st, ok := s.sent[seq]
-			return st, ok
+	// from and to come straight off the datagram: walk only what the ring
+	// retains of the range, never the range itself.
+	var ost *originState
+	lo, hi := s.sent.clamp(from, to)
+	if origin != s.cfg.Self {
+		if ost = s.recv[origin]; ost == nil {
+			return
 		}
-		ost, ok := s.recv[origin]
-		if !ok || ost.history == nil {
-			return nil, false
-		}
-		st, ok := ost.history[seq]
-		return st, ok
+		lo, hi = ost.history.clamp(from, to)
 	}
-	for seq := from; seq <= to; seq++ {
-		stored, ok := lookup(seq)
-		if !ok {
+	for seq := lo; seq < hi; seq++ {
+		stored := s.sent.get(seq).ev
+		if ost != nil {
+			stored = ost.history.get(seq)
+		}
+		if stored == nil {
 			continue // already garbage collected: peer must rejoin via flush
 		}
 		cp := appia.CloneSendable(stored)
@@ -730,78 +685,62 @@ func (s *nakSession) releaseCredits(n, b int) {
 	}
 }
 
-// releaseAllWindowed returns every credit the session still holds (channel
-// teardown, view install).
-func (s *nakSession) releaseAllWindowed() {
-	if len(s.windowed) == 0 {
-		return
+// releaseSent returns the credits held by own casts up to and including
+// upTo; the slots keep their payloads.
+func (s *nakSession) releaseSent(upTo uint64) {
+	n, bytes := 0, 0
+	lo, hi := s.sent.clamp(0, upTo)
+	for seq := lo; seq < hi; seq++ {
+		if slot := s.sent.get(seq); slot.credit {
+			n++
+			bytes += slot.bytes
+			s.sent.put(seq, sentSlot{ev: slot.ev})
+		}
 	}
-	bytes := 0
-	for _, b := range s.windowed {
-		bytes += b
+	s.releaseCredits(n, bytes)
+}
+
+// retireSent drops own casts up to and including upTo, which every member
+// has delivered. Credits return on the same watermark that prunes the send
+// buffer: a windowed cast every member has delivered no longer occupies the
+// group's send window.
+func (s *nakSession) retireSent(upTo uint64) {
+	s.releaseSent(upTo)
+	s.sent.advance(upTo + 1)
+	s.cntSent = min(s.cntSent, int(s.sent.end-s.sent.base))
+}
+
+// stableFor returns the highest sequence number from origin that every
+// member has delivered, or false while some peer's vector is unknown.
+func (s *nakSession) stableFor(origin appia.NodeID) (uint64, bool) {
+	low := s.delivered(origin)
+	for _, m := range s.members {
+		if m == s.cfg.Self {
+			continue
+		}
+		vec, ok := s.peerVec[m]
+		if !ok {
+			return 0, false // unknown peer state: keep everything
+		}
+		low = min(low, vec[origin])
 	}
-	s.releaseCredits(len(s.windowed), bytes)
-	s.windowed = make(map[uint64]int)
+	return low, true
 }
 
 // prune drops send-buffer and history entries that every member has
 // delivered.
 func (s *nakSession) prune() {
-	mine := s.deliveredVector()
-	stableFor := func(origin appia.NodeID) (uint64, bool) {
-		min := mine[origin]
-		for _, m := range s.members {
-			if m == s.cfg.Self {
-				continue
-			}
-			vec, ok := s.peerVec[m]
-			if !ok {
-				return 0, false // unknown peer state: keep everything
-			}
-			if vec[origin] < min {
-				min = vec[origin]
-			}
-		}
-		return min, true
-	}
-	if len(s.sent) > 0 || len(s.windowed) > 0 {
-		if min, ok := stableFor(s.cfg.Self); ok {
-			for seq := range s.sent {
-				if seq <= min {
-					delete(s.sent, seq)
-				}
-			}
-			// Credits return on the same watermark that prunes the send
-			// buffer: a windowed cast every member has delivered no longer
-			// occupies the group's send window. The windowed set survives
-			// MaxRetained evictions of sent entries, so a credit is never
-			// lost to the cap.
-			released, releasedBytes := 0, 0
-			for seq, bytes := range s.windowed {
-				if seq <= min {
-					delete(s.windowed, seq)
-					released++
-					releasedBytes += bytes
-				}
-			}
-			if released > 0 {
-				s.releaseCredits(released, releasedBytes)
-			}
+	if s.sent.live > 0 {
+		if low, ok := s.stableFor(s.cfg.Self); ok {
+			s.retireSent(low)
 		}
 	}
 	for origin, st := range s.recv {
-		if len(st.history) == 0 {
+		if st.history.live == 0 {
 			continue
 		}
-		min, ok := stableFor(origin)
-		if !ok {
-			continue
-		}
-		for seq := range st.history {
-			if seq <= min {
-				delete(st.history, seq)
-				s.cntHistory--
-			}
+		if low, ok := s.stableFor(origin); ok {
+			s.cntHistory -= st.history.advance(low + 1)
 		}
 	}
 }
@@ -820,8 +759,8 @@ func (s *nakSession) handleView(ch *appia.Channel, e *ViewInstall) {
 			if st.cancel != nil {
 				st.cancel()
 			}
-			s.cntHistory -= len(st.history)
-			s.cntBuffer -= len(st.buffer)
+			s.cntHistory -= st.history.live
+			s.cntBuffer -= st.reorder.live
 			delete(s.recv, origin)
 		}
 	}
@@ -837,10 +776,10 @@ func (s *nakSession) handleView(ch *appia.Channel, e *ViewInstall) {
 	// the report snapshot — the GMS blocks them — so every held credit
 	// is provably stable and returns here wholesale. This is also what
 	// promptly unblocks senders stalled on a partitioned peer: the
-	// eviction's view change is the release. (The sent/history maps
+	// eviction's view change is the release. (The sent/history rings
 	// keep stability-based pruning: control casts issued mid-flush,
 	// such as the Install itself, may still need retransmitting.)
-	s.releaseAllWindowed()
+	s.releaseSent(s.nextSeq)
 	ch.Forward(e) // the best-effort bottom needs it too
 }
 
@@ -872,29 +811,27 @@ func (s *nakSession) handleStateTransfer(ch *appia.Channel, e *StateTransfer) {
 			// Sequence-space continuity on rejoin: if the group has already
 			// delivered casts under our identifier (a previous incarnation
 			// that left and came back), never reuse those numbers — peers
-			// would drop the fresh casts as duplicates.
+			// would drop the fresh casts as duplicates. Anything we cast
+			// below the frontier is stable, so the sent ring restarts there.
 			if s.nextSeq < next+1 {
+				s.retireSent(next)
 				s.nextSeq = next + 1
 			}
 			continue
 		}
 		st := s.origin(origin)
+		// Casts below the frontier were delivered (and stabilised) by the
+		// running group before we existed: they are not gaps to repair, and
+		// history kept from before the jump is nothing a peer can still
+		// need. Casts at or above it may already sit in the reorder buffer —
+		// a multicast can race ahead of the point-to-point transfer — so
+		// drain what is now in order and arm repair for what is not.
 		if st.next < next+1 {
 			st.next = next + 1
+			s.cntBuffer -= st.reorder.advance(st.next)
+			s.cntHistory -= st.history.advance(st.next)
 		}
-		// Casts below the frontier were delivered (and stabilised) by the
-		// running group before we existed: they are not gaps to repair.
-		// Casts at or above it may already sit in the reorder buffer — a
-		// multicast can race ahead of the point-to-point transfer — so
-		// drain what is now in order and arm repair for what is not.
-		for seq := range st.buffer {
-			if seq < st.next {
-				delete(st.buffer, seq)
-				delete(st.events, seq)
-				s.cntBuffer--
-			}
-		}
-		s.drain(ch, origin, st)
+		s.deliver(ch, origin, st, st.reorder.get(st.next))
 		if st.missing() {
 			s.armNack(ch, origin, st)
 		}
@@ -906,40 +843,35 @@ func (s *nakSession) handleStateTransfer(ch *appia.Channel, e *StateTransfer) {
 func (s *nakSession) origin(id appia.NodeID) *originState {
 	st, ok := s.recv[id]
 	if !ok {
-		st = &originState{next: 1, buffer: make(map[uint64]*CastEvent)}
+		st = &originState{next: 1}
 		s.recv[id] = st
 	}
 	return st
 }
 
-// deliveredVector snapshots the per-origin contiguous delivery watermark.
-func (s *nakSession) deliveredVector() DeliveredVector {
-	dv := make(DeliveredVector, len(s.recv)+1)
-	for origin, st := range s.recv {
-		if st.next > 1 {
-			dv[origin] = st.next - 1
-		}
+// delivered is the contiguous delivery watermark for one origin. Our own
+// casts count as delivered up to nextSeq-1 (self-delivery is immediate).
+func (s *nakSession) delivered(origin appia.NodeID) uint64 {
+	var d uint64
+	if st, ok := s.recv[origin]; ok {
+		d = st.next - 1
 	}
-	// Our own casts count as delivered up to nextSeq-1 (self-delivery is
-	// immediate).
-	if s.nextSeq > 1 {
-		if cur, ok := dv[s.cfg.Self]; !ok || cur < s.nextSeq-1 {
-			dv[s.cfg.Self] = s.nextSeq - 1
-		}
+	if origin == s.cfg.Self {
+		d = max(d, s.nextSeq-1)
 	}
-	return dv
+	return d
 }
 
-// sortedGaps returns buffered-but-undeliverable seqs per origin (tests).
-func (s *nakSession) sortedGaps(origin appia.NodeID) []uint64 {
-	st, ok := s.recv[origin]
-	if !ok {
-		return nil
+// deliveredVector snapshots the per-origin delivery watermarks.
+func (s *nakSession) deliveredVector() DeliveredVector {
+	dv := make(DeliveredVector, len(s.recv)+1)
+	for origin := range s.recv {
+		if d := s.delivered(origin); d > 0 {
+			dv[origin] = d
+		}
 	}
-	out := make([]uint64, 0, len(st.buffer))
-	for seq := range st.buffer {
-		out = append(out, seq)
+	if d := s.delivered(s.cfg.Self); d > 0 {
+		dv[s.cfg.Self] = d
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return dv
 }

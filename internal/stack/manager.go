@@ -146,7 +146,8 @@ func (c *ManagerConfig) logf(format string, args ...any) {
 type Manager struct {
 	cfg ManagerConfig
 	reg *appiaxml.LayerRegistry
-	// win is the group's send window (nil when windowing is disabled).
+	// win is the group's send window (never nil: Deploy rejects a negative
+	// SendWindow and zero means DefaultSendWindow).
 	// Credits: one per accepted application payload, held across
 	// reconfiguration buffering and released by the reliable layer on
 	// stability (or by the resubmit path when the payload lands on an
@@ -305,21 +306,23 @@ func (m *Manager) Deploy(doc *appiaxml.Document, configName string, epoch uint64
 		_ = ch.Close()
 		return ErrClosed
 	}
-	m.state.ch = ch
-	m.state.epoch = epoch
-	m.state.configName = configName
-	m.state.members = append([]appia.NodeID(nil), members...)
-	m.state.viewMembers = nil // fresh epoch: live set = deploy list until a view installs
-	m.state.doc = doc
-	m.state.windowed = m.channelWindowed(ch)
+	m.installLocked(ch, doc, configName, epoch, members)
 	m.state.Unlock()
 	return nil
 }
 
-// channelWindowed reports whether a channel contains the credit-releasing
-// reliable layer.
-func (m *Manager) channelWindowed(ch *appia.Channel) bool {
-	return ch.SessionFor("group.nak") != nil
+// installLocked makes ch the deployed channel of a fresh epoch. Must hold
+// m.state.
+func (m *Manager) installLocked(ch *appia.Channel, doc *appiaxml.Document, configName string, epoch uint64, members []appia.NodeID) {
+	m.state.ch = ch
+	m.state.epoch = epoch
+	m.state.configName = configName
+	m.state.members = append([]appia.NodeID(nil), members...)
+	m.state.viewMembers = nil // live set = deploy list until a view installs
+	m.state.doc = doc
+	// Only a channel with the reliable layer releases credits.
+	m.state.windowed = ch.SessionFor("group.nak") != nil
+	m.state.quiescentSeen = false // fresh channel, fresh lifecycle
 }
 
 // CurrentDocument returns the deployed configuration document (nil before
@@ -428,6 +431,25 @@ func (m *Manager) TrySend(payload []byte) error {
 	return m.submit(payload, sendTry, nil)
 }
 
+// acquire takes n credits from w the way the send mode asks — without
+// waiting, bounded by ctx, or blocking — and reports a closed window as the
+// closed group it means.
+func acquire(w *flowctl.Window, n int, mode sendMode, ctx context.Context) error {
+	var err error
+	switch mode {
+	case sendTry:
+		err = w.TryAcquireN(n)
+	case sendCtx:
+		err = w.AcquireContextN(ctx, n)
+	default:
+		err = w.AcquireN(n)
+	}
+	if errors.Is(err, flowctl.ErrWindowClosed) {
+		return ErrGroupClosed
+	}
+	return err // nil, ErrWindowFull or the context's error
+}
+
 func (m *Manager) submit(payload []byte, mode sendMode, ctx context.Context) error {
 	m.state.Lock()
 	if m.state.closed {
@@ -443,20 +465,8 @@ func (m *Manager) submit(payload []byte, mode sendMode, ctx context.Context) err
 	// 1. Send-window credit. The credit is held until the reliable layer
 	// confirms group-wide delivery (or the payload provably dies with its
 	// group), bounding total in-flight retention.
-	var err error
-	switch mode {
-	case sendTry:
-		err = m.win.TryAcquire()
-	case sendCtx:
-		err = m.win.AcquireContext(ctx)
-	default:
-		err = m.win.Acquire()
-	}
-	if err != nil {
-		if errors.Is(err, flowctl.ErrWindowClosed) {
-			return ErrGroupClosed
-		}
-		return err // ErrWindowFull or the context's error
+	if err := acquire(m.win, 1, mode, ctx); err != nil {
+		return err
 	}
 
 	// Byte credits, acquired strictly after the message credit (the fixed
@@ -465,19 +475,8 @@ func (m *Manager) submit(payload []byte, mode sendMode, ctx context.Context) err
 	cost := 0
 	if m.winB != nil {
 		cost = m.winB.Clamp(m.cfg.SendCost.Cost("data", len(payload)))
-		switch mode {
-		case sendTry:
-			err = m.winB.TryAcquireN(cost)
-		case sendCtx:
-			err = m.winB.AcquireContextN(ctx, cost)
-		default:
-			err = m.winB.AcquireN(cost)
-		}
-		if err != nil {
+		if err := acquire(m.winB, cost, mode, ctx); err != nil {
 			m.win.Release(1)
-			if errors.Is(err, flowctl.ErrWindowClosed) {
-				return ErrGroupClosed
-			}
 			return err
 		}
 	}
@@ -491,25 +490,19 @@ func (m *Manager) submit(payload []byte, mode sendMode, ctx context.Context) err
 	// 2. Mailbox admission: the bounded-mailbox gate asserts exactly this
 	// external-ingress path; intra-stack and network insertions stay
 	// non-blocking (see appia.Scheduler.SetMailboxBounds).
-	for {
-		gate := m.cfg.Scheduler.AdmitExternal()
-		if gate == nil {
-			break
-		}
+	for gate := m.cfg.Scheduler.AdmitExternal(); gate != nil; gate = m.cfg.Scheduler.AdmitExternal() {
 		if mode == sendTry {
 			release()
 			return ErrWindowFull
 		}
-		if mode == sendCtx && ctx != nil {
+		if ctx != nil {
 			// SendContext's contract holds at this gate too.
 			if err := ctx.Err(); err != nil {
 				release()
 				return err
 			}
-			flowctl.WaitGate(m.cfg.clock(), gate, ctx)
-			continue
 		}
-		m.cfg.clock().Wait(gate)
+		flowctl.WaitGate(m.cfg.clock(), gate, ctx) // a nil ctx waits on the gate alone
 	}
 
 	// 3. Insert, handling the teardown/reconfiguration races.
@@ -654,15 +647,20 @@ func (m *Manager) Reconfigure(doc *appiaxml.Document, configName string, epoch u
 }
 
 // finishReconfig installs the new channel and flushes buffered sends.
+// state.reconfig stays set while it does: a concurrent Send keeps landing
+// behind the resubmitted casts in state.buffered, and only the lock hold
+// that finds the buffer empty lets senders insert directly again — clearing
+// the flag first let a direct Send overtake up to a window of buffered
+// casts from the same origin.
 func (m *Manager) finishReconfig(ch *appia.Channel, doc *appiaxml.Document, configName string, epoch uint64, members []appia.NodeID) {
 	m.state.Lock()
+	m.state.quiesced = nil
 	if m.state.closed {
 		// Raced with Close: the group is gone — do not install (that would
 		// re-bind its ports); discard the freshly built channel instead.
 		// Buffered credits are surrendered with it (the window is closed,
 		// the release is bookkeeping only).
 		m.state.reconfig = false
-		m.state.quiesced = nil
 		discarded := m.state.buffered
 		m.state.buffered = nil
 		m.state.Unlock()
@@ -681,46 +679,40 @@ func (m *Manager) finishReconfig(ch *appia.Channel, doc *appiaxml.Document, conf
 		// channel.
 		held := len(m.state.buffered)
 		m.state.reconfig = false
-		m.state.quiesced = nil
 		m.state.quiescentSeen = true
 		m.state.Unlock()
 		m.cfg.logf("stack[%d]: epoch %d rebuild failed; holding %d buffered sends for the next deployment",
 			m.cfg.Self, epoch, held)
 		return
 	}
-	windowed := m.channelWindowed(ch)
-	m.state.ch = ch
-	m.state.configName = configName
-	m.state.epoch = epoch
-	m.state.members = append([]appia.NodeID(nil), members...)
-	m.state.viewMembers = nil // fresh epoch: live set = deploy list until a view installs
-	m.state.doc = doc
-	m.state.windowed = windowed
-	m.state.reconfig = false
-	m.state.quiesced = nil
-	m.state.quiescentSeen = false // fresh channel, fresh lifecycle
-	buffered := m.state.buffered
-	m.state.buffered = nil
-	m.state.Unlock()
-
-	for _, hs := range buffered {
-		ev := &group.CastEvent{}
-		ev.Msg = appia.NewMessage(hs.payload)
-		// Credits held through the buffer transfer to the new stack's
-		// reliable layer; on an unwindowed stack they return here.
-		ev.Windowed = (hs.credit || hs.bytes > 0) && windowed
-		if ev.Windowed {
-			ev.WindowBytes = hs.bytes
+	m.installLocked(ch, doc, configName, epoch, members)
+	windowed := m.state.windowed
+	for len(m.state.buffered) > 0 {
+		batch := m.state.buffered
+		m.state.buffered = nil
+		m.state.Unlock()
+		for _, hs := range batch {
+			ev := &group.CastEvent{}
+			ev.Msg = appia.NewMessage(hs.payload)
+			// Credits held through the buffer transfer to the new stack's
+			// reliable layer; on an unwindowed stack they return here.
+			ev.Windowed = (hs.credit || hs.bytes > 0) && windowed
+			if ev.Windowed {
+				ev.WindowBytes = hs.bytes
+			}
+			if err := ch.Insert(ev, appia.Down); err != nil {
+				m.cfg.logf("stack[%d]: resubmit buffered send: %v", m.cfg.Self, err)
+				m.releaseOne(hs)
+				continue
+			}
+			if (hs.credit || hs.bytes > 0) && !windowed {
+				m.releaseOne(hs)
+			}
 		}
-		if err := ch.Insert(ev, appia.Down); err != nil {
-			m.cfg.logf("stack[%d]: resubmit buffered send: %v", m.cfg.Self, err)
-			m.releaseOne(hs)
-			continue
-		}
-		if (hs.credit || hs.bytes > 0) && !windowed {
-			m.releaseOne(hs)
-		}
+		m.state.Lock()
 	}
+	m.state.reconfig = false
+	m.state.Unlock()
 }
 
 // releaseOne returns one buffered send's credits.
@@ -735,16 +727,8 @@ func (m *Manager) releaseOne(hs heldSend) {
 
 // releaseHeld returns the credits of discarded buffered sends.
 func (m *Manager) releaseHeld(held []heldSend) {
-	n, b := 0, 0
 	for _, hs := range held {
-		if hs.credit {
-			n++
-		}
-		b += hs.bytes
-	}
-	m.win.Release(n)
-	if b > 0 {
-		m.winB.Release(b)
+		m.releaseOne(hs)
 	}
 }
 

@@ -78,13 +78,6 @@ func NewStandardRegistry() *appiaxml.LayerRegistry {
 		if err != nil {
 			return nil, err
 		}
-		maxRetained, err := p.Int("max-retained", 0)
-		if err != nil {
-			return nil, err
-		}
-		if maxRetained == 0 && env.SendWindow > 0 {
-			maxRetained = RetainedCap(env.SendWindow)
-		}
 		cfg := group.NakConfig{
 			Self:           env.Self,
 			Group:          env.Group,
@@ -94,7 +87,7 @@ func NewStandardRegistry() *appiaxml.LayerRegistry {
 			StableEvery:    stableEvery,
 			Window:         env.Window,
 			BytesWindow:    env.BytesWindow,
-			MaxRetained:    maxRetained,
+			MaxRetained:    RetainedCap(env.SendWindow),
 		}
 		if err := cfg.Validate(); err != nil {
 			return nil, err
@@ -226,9 +219,9 @@ func RegisterAllWireEvents(reg *appia.EventKindRegistry) {
 // synchrony before force-closing the old channel.
 const defaultQuiesceTimeout = 5 * time.Second
 
-// RetainedCap derives the reliable layer's per-map retention cap from a
+// RetainedCap derives the reliable layer's per-ring retention cap from a
 // send-window size: with credits bounding each member to `window`
-// unstable casts, no retention map should exceed the window plus the
+// unstable casts, no retention ring should exceed the window plus the
 // control casts interleaved with it — 2× is the safety margin before the
 // cap starts evicting (see group.NakConfig.MaxRetained).
 func RetainedCap(window int) int { return 2 * window }
