@@ -1,9 +1,10 @@
 GO ?= go
 
-.PHONY: check build vet test race fuzz bench golden chaos chaos-scale chaos-churn soak lint
+.PHONY: check build vet test race fuzz bench bench-vet golden chaos chaos-scale chaos-churn soak lint
 
-# check is the CI entry point: vet, build, full test suite, bench smoke run.
-check: vet build test bench
+# check is the CI entry point: vet, build, full test suite, the ledger's own
+# module, bench smoke run.
+check: vet build test bench-vet bench
 
 # lint is the repo's static-analysis gate: a gofmt check, go vet, and the
 # in-tree analyzer suite (tools/morpheuslint — wallclock, mapiter,
@@ -34,14 +35,16 @@ race:
 	$(GO) test -race -short ./...
 
 # fuzz gives each native fuzz target a short budget beyond its seed corpus
-# (which plain `go test` already runs): the udpnet datagram parser and the
+# (which plain `go test` already runs): the udpnet datagram parser, the
 # reliable layer's handling of sequence numbers, NACK ranges and stability
-# vectors off the wire. The minimizer is capped so the budget is spent on new
-# inputs; a crasher is written to the package's testdata/fuzz — commit it.
+# vectors off the wire, and Core's decoders of the deployment record and the
+# membership announcements. The minimizer is capped so the budget is spent on
+# new inputs; a crasher is written to the package's testdata/fuzz — commit it.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/netio/udpnet -run '^$$' -fuzz '^FuzzHandleDatagram$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
 	$(GO) test ./internal/group -run '^$$' -fuzz '^FuzzNakWire$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzCoreWire$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s
 
 # golden replays the virtualized experiments (figure3, E5, E6, E9, E10)
 # three times each and checks the counter-matrix hashes against the pins in
@@ -98,3 +101,9 @@ soak:
 # `bash bench/run.sh --all`, see bench/README.md.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# bench-vet builds and short-tests the ledger. bench/ is its own module, so
+# the root `./...` targets never compile it: this is where an internal-API
+# change that breaks the benchmark's frozen surface shows up before push.
+bench-vet:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...

@@ -18,6 +18,7 @@ import (
 
 	"morpheus/internal/appia"
 	"morpheus/internal/clock"
+	"morpheus/internal/flowctl"
 	"morpheus/internal/netio"
 )
 
@@ -214,7 +215,6 @@ type Env struct {
 	Group     string
 	Members   []appia.NodeID
 	Port      string
-	Registry  *appia.EventKindRegistry
 	Scheduler *appia.Scheduler
 	Shared    *SessionCache
 	Deliver   appia.DeliverFunc
@@ -223,28 +223,13 @@ type Env struct {
 	// current time directly (the scheduler's timers have their own copy).
 	// Nil means wall clock.
 	Clock clock.Clock
-	// Window, when non-nil, is the group's send-window credit sink: the
-	// reliable layer returns one credit per windowed cast as stability
-	// gossip confirms group-wide delivery. Nil means windowing is off for
-	// this channel.
-	Window CreditReleaser
-	// SendWindow is the window's credit capacity (0 when windowing is
-	// off); factories derive retention caps from it.
+	// Credits, when non-nil, is the group's send-window credit sink: the
+	// reliable layer returns each cast's credit as stability gossip confirms
+	// group-wide delivery. Nil means windowing is off for this channel.
+	Credits flowctl.Releaser
+	// SendWindow is the message window's credit capacity (0 when windowing
+	// is off); factories derive retention caps from it.
 	SendWindow int
-	// BytesWindow, when non-nil, is the byte-denominated credit sink: the
-	// reliable layer returns a windowed cast's WindowBytes credits on the
-	// same stability watermark that returns its message credit. Nil means
-	// byte windowing is off for this channel.
-	BytesWindow CreditReleaser
-	// SendWindowBytes is the byte window's credit capacity (0 when byte
-	// windowing is off).
-	SendWindowBytes int
-}
-
-// CreditReleaser mirrors group.CreditReleaser without the import: the sink
-// send-window credits are released to.
-type CreditReleaser interface {
-	Release(n int)
 }
 
 // LayerFactory builds a layer instance from parameters and the local

@@ -415,7 +415,7 @@ func (r *runner) execute() (Result, error) {
 	if len(crashed) > 0 {
 		if !r.waitFor(30*time.Second, func() bool {
 			for _, id := range survivors {
-				for _, m := range r.nodes[id].Manager().Members() {
+				for _, m := range r.nodes[id].Manager().Deployment().Members {
 					if r.isCrashed(m) {
 						return false
 					}
@@ -612,7 +612,7 @@ func (r *runner) harvest(survivors, crashed []NodeID, violations []string) Resul
 	violations = append(violations, invariants.CheckNoLeak("run", leaked)...)
 	var viewLines []string
 	for _, id := range survivors {
-		got := r.nodes[id].Manager().Members()
+		got := r.nodes[id].Manager().Deployment().Members
 		violations = append(violations, invariants.CheckView(fmt.Sprintf("node %d", id), got, survivors)...)
 		viewLines = append(viewLines, fmt.Sprintf("node=%d view=%v", id, got))
 	}

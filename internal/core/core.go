@@ -17,6 +17,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -43,16 +44,74 @@ var (
 	ErrNotReady = errors.New("core: control channel not ready")
 )
 
+// GroupInfo is one hosted group's deployment record as it travels the control
+// channel: Core ships it in a PrepareEvent, answers a late joiner's discovery
+// query with it in a GroupInfoEvent, and the receiver hands the decoded record
+// to its local module as is.
+type GroupInfo struct {
+	TargetGroup string
+	stack.Deployment
+}
+
+// push encodes the record as headers — XML, members, config name, epoch,
+// group — marshalling Doc for the first.
+func (gi *GroupInfo) push(m *appia.Message) error {
+	xml, err := gi.Doc.Marshal()
+	if err != nil {
+		return err
+	}
+	ids := make([]uint64, len(gi.Members))
+	for i, id := range gi.Members {
+		ids[i] = uint64(uint32(id))
+	}
+	m.PushString(xml)
+	m.PushUvarintSlice(ids)
+	m.PushString(gi.ConfigName)
+	m.PushUvarint(gi.Epoch)
+	m.PushString(gi.TargetGroup)
+	return nil
+}
+
+// pop decodes the headers push wrote, parsing the XML back into Doc. The
+// record is only assigned once every header decoded.
+func (gi *GroupInfo) pop(m *appia.Message) error {
+	var (
+		got GroupInfo
+		err error
+	)
+	if got.TargetGroup, err = m.PopString(); err != nil {
+		return err
+	}
+	if got.Epoch, err = m.PopUvarint(); err != nil {
+		return err
+	}
+	if got.ConfigName, err = m.PopString(); err != nil {
+		return err
+	}
+	ids, err := m.PopUvarintSlice()
+	if err != nil {
+		return err
+	}
+	xml, err := m.PopString()
+	if err != nil {
+		return err
+	}
+	if got.Doc, err = appiaxml.ParseString(xml); err != nil {
+		return err
+	}
+	got.Members = make([]appia.NodeID, len(ids))
+	for i, u := range ids {
+		got.Members[i] = appia.NodeID(uint32(u))
+	}
+	*gi = got
+	return nil
+}
+
 // PrepareEvent instructs every participant to deploy a new configuration
-// for one hosted group. Reliable (embeds CastEvent). Headers: group, epoch,
-// config name, members, XML.
+// for one hosted group. Reliable (embeds CastEvent). Headers: the GroupInfo.
 type PrepareEvent struct {
 	group.CastEvent
-	TargetGroup string
-	Epoch       uint64
-	ConfigName  string
-	Members     []appia.NodeID
-	XML         string
+	GroupInfo
 }
 
 // AckEvent reports a completed local deployment for one group. It is a
@@ -74,25 +133,46 @@ type GroupQueryEvent struct {
 
 // GroupInfoEvent answers a GroupQueryEvent with the group's deployment
 // snapshot — enough for a late joiner to build the same stack at the same
-// epoch and request admission into the running view. Headers mirror
-// PrepareEvent's discipline: group, epoch, config name, members, XML.
+// epoch and request admission into the running view. Its Members are the
+// live view, not the epoch's bootstrap list: the joiner must aim its
+// data-channel JoinReq at members that still exist. Headers: the GroupInfo.
 type GroupInfoEvent struct {
 	appia.SendableEvent
+	GroupInfo
+}
+
+// groupMember is what the two membership announcements carry. Headers:
+// group, member.
+type groupMember struct {
 	TargetGroup string
-	Epoch       uint64
-	ConfigName  string
-	Members     []appia.NodeID
-	XML         string
+	Member      appia.NodeID
+}
+
+func (gm *groupMember) push(m *appia.Message) {
+	m.PushUvarint(uint64(uint32(gm.Member)))
+	m.PushString(gm.TargetGroup)
+}
+
+func (gm *groupMember) pop(m *appia.Message) error {
+	name, err := m.PopString()
+	if err != nil {
+		return err
+	}
+	u, err := m.PopUvarint()
+	if err != nil {
+		return err
+	}
+	*gm = groupMember{name, appia.NodeID(uint32(u))}
+	return nil
 }
 
 // GroupJoinEvent announces — reliably, to the whole control group — that
 // Member is entering TargetGroup: every hosting node widens the group's
 // configured membership so future reconfigurations and the effective view
-// include the joiner. Headers: group, member.
+// include the joiner.
 type GroupJoinEvent struct {
 	group.CastEvent
-	TargetGroup string
-	Member      appia.NodeID
+	groupMember
 }
 
 // GroupLeaveEvent announces a *voluntary* departure of Member from
@@ -100,11 +180,9 @@ type GroupJoinEvent struct {
 // membership and run a non-holding view change on the group's data channel
 // immediately, so stability watermarks exclude the leaver within one flush
 // round instead of holding casts and send credits until FD eviction.
-// Headers: group, member.
 type GroupLeaveEvent struct {
 	group.CastEvent
-	TargetGroup string
-	Member      appia.NodeID
+	groupMember
 }
 
 // RegisterWireEvents registers core's wire kinds (idempotent).
@@ -118,25 +196,6 @@ func RegisterWireEvents(reg *appia.EventKindRegistry) {
 	reg.Register("core.groupinfo", func() appia.Sendable { return &GroupInfoEvent{} })
 	reg.Register("core.groupjoin", func() appia.Sendable { return &GroupJoinEvent{} })
 	reg.Register("core.groupleave", func() appia.Sendable { return &GroupLeaveEvent{} })
-}
-
-// GroupInfo is a cached deployment snapshot received via GroupInfoEvent.
-type GroupInfo struct {
-	Group      string
-	Epoch      uint64
-	ConfigName string
-	Members    []appia.NodeID
-	XML        string
-}
-
-// Contains reports whether id is one of the recorded data members.
-func (gi GroupInfo) Contains(id appia.NodeID) bool {
-	for _, m := range gi.Members {
-		if m == id {
-			return true
-		}
-	}
-	return false
 }
 
 // PolicyInput is what a policy sees: the group's effective view (the
@@ -333,11 +392,8 @@ func (s *Session) Register(rt GroupRuntime) error {
 	// The group view and its coordinator election assume a sorted,
 	// deduplicated membership (View.Members is documented ascending).
 	rt.Members = group.NormalizeMembers(append([]appia.NodeID(nil), rt.Members...))
-	gs := &groupState{
-		rt:      rt,
-		epoch:   rt.Manager.Epoch(),
-		current: rt.Manager.ConfigName(),
-	}
+	dep := rt.Manager.Deployment()
+	gs := &groupState{rt: rt, epoch: dep.Epoch, current: dep.ConfigName}
 	gs.deployedEpoch.Store(gs.epoch)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -519,20 +575,13 @@ func (s *Session) repairMembership(ch *appia.Channel, gs *groupState, gv group.V
 	// except for late-join admissions, and an admitted joiner that dies
 	// before the next reconfiguration exists only in the view — it must
 	// trigger the same eviction a deployed member's death does.
-	deployed := gs.rt.Manager.Members()
-	if len(deployed) == 0 || len(gv.Members) == 0 {
+	dep := gs.rt.Manager.Deployment()
+	if len(dep.Members) == 0 || len(gv.Members) == 0 || dep.Doc == nil {
 		return
 	}
-	check := deployed
-	for _, m := range gs.rt.Manager.ViewMembers() {
-		found := false
-		for _, d := range deployed {
-			if d == m {
-				found = true
-				break
-			}
-		}
-		if !found {
+	check := dep.Members
+	for _, m := range dep.View {
+		if !slices.Contains(dep.Members, m) {
 			check = append(check, m)
 		}
 	}
@@ -544,18 +593,7 @@ func (s *Session) repairMembership(ch *appia.Channel, gs *groupState, gv group.V
 	// it would redeploy the group around a node stranded in a view only it
 	// committed (chaos churn seed 28). Only a member the failure detector
 	// actually removed from the control group is dead to repair.
-	shrunk := false
-	for _, m := range check {
-		if !s.view.Contains(m) {
-			shrunk = true
-			break
-		}
-	}
-	if !shrunk {
-		return
-	}
-	doc := gs.rt.Manager.CurrentDocument()
-	if doc == nil {
+	if !slices.ContainsFunc(check, func(m appia.NodeID) bool { return !s.view.Contains(m) }) {
 		return
 	}
 	// The repaired membership keeps every control-live member from both
@@ -569,7 +607,7 @@ func (s *Session) repairMembership(ch *appia.Channel, gs *groupState, gv group.V
 	}
 	s.initiate(ch, gs, gv, repairPolicy{}, &Decision{
 		ConfigName: gs.current,
-		Doc:        doc,
+		Doc:        dep.Doc,
 		Members:    group.NormalizeMembers(members),
 		Reason:     "deployed membership lost a control-live member",
 	})
@@ -581,43 +619,30 @@ func (s *Session) repairMembership(ch *appia.Channel, gs *groupState, gv group.V
 // ignore the Prepare — the control channel is shared, the deployment is
 // not.
 func (s *Session) initiate(ch *appia.Channel, gs *groupState, gv group.View, p Policy, d *Decision) {
-	xml, err := d.Doc.Marshal()
-	if err != nil {
-		s.cfg.logf("core[%d]: group %q: marshal config %q: %v", s.cfg.Self, gs.rt.Group, d.ConfigName, err)
-		return
-	}
 	members := d.Members
 	if len(members) == 0 {
 		members = gv.Members
 	}
-	gs.epoch++
+	ev := &PrepareEvent{GroupInfo: GroupInfo{TargetGroup: gs.rt.Group, Deployment: stack.Deployment{
+		Epoch:      gs.epoch + 1,
+		ConfigName: d.ConfigName,
+		Members:    slices.Clone(members),
+		Doc:        d.Doc,
+	}}}
+	ev.Class = appia.ClassControl
+	if err := ev.push(ev.EnsureMsg()); err != nil {
+		s.cfg.logf("core[%d]: group %q: marshal config %q: %v", s.cfg.Self, gs.rt.Group, d.ConfigName, err)
+		return
+	}
+	gs.epoch = ev.Epoch
 	gs.inFlight = true
 	gs.acks = make(map[appia.NodeID]bool)
 	gs.decidedAt = s.cfg.clock().Now()
 	gs.flightName = d.ConfigName
-	gs.flightMembers = append([]appia.NodeID(nil), members...)
+	gs.flightMembers = ev.Members
 	s.cfg.logf("core[%d]: group %q: policy %q: %s -> %s (epoch %d): %s",
 		s.cfg.Self, gs.rt.Group, p.Name(), gs.current, d.ConfigName, gs.epoch, d.Reason)
 	gs.current = d.ConfigName
-
-	ev := &PrepareEvent{
-		TargetGroup: gs.rt.Group,
-		Epoch:       gs.epoch,
-		ConfigName:  d.ConfigName,
-		Members:     append([]appia.NodeID(nil), members...),
-		XML:         xml,
-	}
-	ev.Class = appia.ClassControl
-	m := ev.EnsureMsg()
-	m.PushString(ev.XML)
-	ids := make([]uint64, len(ev.Members))
-	for i, id := range ev.Members {
-		ids[i] = uint64(uint32(id))
-	}
-	m.PushUvarintSlice(ids)
-	m.PushString(ev.ConfigName)
-	m.PushUvarint(ev.Epoch)
-	m.PushString(ev.TargetGroup)
 	sess := appia.Session(s)
 	_ = ch.SendFrom(sess, ev, appia.Down)
 }
@@ -629,33 +654,11 @@ func (s *Session) onPrepare(ch *appia.Channel, e *PrepareEvent) {
 		ch.Forward(e)
 		return
 	}
-	m := e.EnsureMsg()
-	groupName, err := m.PopString()
-	if err != nil {
+	if err := e.pop(e.EnsureMsg()); err != nil {
+		s.cfg.logf("core[%d]: dropping undecodable prepare: %v", s.cfg.Self, err)
 		return
 	}
-	epoch, err := m.PopUvarint()
-	if err != nil {
-		return
-	}
-	name, err := m.PopString()
-	if err != nil {
-		return
-	}
-	ids, err := m.PopUvarintSlice()
-	if err != nil {
-		return
-	}
-	xml, err := m.PopString()
-	if err != nil {
-		return
-	}
-	members := make([]appia.NodeID, len(ids))
-	for i, u := range ids {
-		members[i] = appia.NodeID(uint32(u))
-	}
-	e.TargetGroup, e.Epoch, e.ConfigName, e.Members, e.XML = groupName, epoch, name, members, xml
-
+	groupName, epoch := e.TargetGroup, e.Epoch
 	gs := s.lookup(groupName)
 	if gs == nil {
 		return // we do not host this group: not our deployment
@@ -668,13 +671,8 @@ func (s *Session) onPrepare(ch *appia.Channel, e *PrepareEvent) {
 		// coordinator, that triggers a pointless group-wide redeployment.
 		return
 	}
-	doc, err := appiaxml.ParseString(xml)
-	if err != nil {
-		s.cfg.logf("core[%d]: group %q: bad config XML for epoch %d: %v", s.cfg.Self, groupName, epoch, err)
-		return
-	}
 	gs.epoch = epoch
-	gs.current = name
+	gs.current = e.ConfigName
 
 	// The deployment blocks on view-synchronous quiescence, so it runs off
 	// the scheduler goroutine; the Ack is inserted thread-safely after.
@@ -683,7 +681,7 @@ func (s *Session) onPrepare(ch *appia.Channel, e *PrepareEvent) {
 	// deployment goroutine is an actor, queued for the run token in this
 	// (deterministic) program order.
 	s.cfg.clock().Go(func() {
-		if err := gs.rt.Manager.Reconfigure(doc, name, epoch, members); err != nil {
+		if err := gs.rt.Manager.Reconfigure(e.Deployment); err != nil {
 			s.cfg.logf("core[%d]: group %q: reconfigure epoch %d: %v", s.cfg.Self, groupName, epoch, err)
 			return
 		}
@@ -773,36 +771,17 @@ func (s *Session) onGroupQuery(ch *appia.Channel, e *GroupQueryEvent) {
 	if gs == nil {
 		return
 	}
-	doc := gs.rt.Manager.CurrentDocument()
-	if doc == nil {
+	info := &GroupInfoEvent{GroupInfo: GroupInfo{TargetGroup: groupName, Deployment: gs.rt.Manager.Deployment()}}
+	if info.Doc == nil {
 		return
 	}
-	xml, err := doc.Marshal()
-	if err != nil {
+	info.Members = info.View
+	info.Dest = e.Source
+	info.Class = appia.ClassControl
+	if err := info.push(info.EnsureMsg()); err != nil {
 		s.cfg.logf("core[%d]: group %q: marshal for group info: %v", s.cfg.Self, groupName, err)
 		return
 	}
-	info := &GroupInfoEvent{
-		TargetGroup: groupName,
-		Epoch:       gs.rt.Manager.Epoch(),
-		ConfigName:  gs.rt.Manager.ConfigName(),
-		// The live view, not the epoch's bootstrap list: the joiner must
-		// aim its data-channel JoinReq at members that still exist.
-		Members: gs.rt.Manager.ViewMembers(),
-		XML:     xml,
-	}
-	info.Dest = e.Source
-	info.Class = appia.ClassControl
-	m := info.EnsureMsg()
-	m.PushString(info.XML)
-	ids := make([]uint64, len(info.Members))
-	for i, id := range info.Members {
-		ids[i] = uint64(uint32(id))
-	}
-	m.PushUvarintSlice(ids)
-	m.PushString(info.ConfigName)
-	m.PushUvarint(info.Epoch)
-	m.PushString(info.TargetGroup)
 	sess := appia.Session(s)
 	_ = ch.SendFrom(sess, info, appia.Down)
 }
@@ -813,41 +792,16 @@ func (s *Session) onGroupInfo(ch *appia.Channel, e *GroupInfoEvent) {
 		ch.Forward(e)
 		return
 	}
-	m := e.EnsureMsg()
-	groupName, err := m.PopString()
-	if err != nil {
+	if err := e.pop(e.EnsureMsg()); err != nil {
+		s.cfg.logf("core[%d]: dropping undecodable group info: %v", s.cfg.Self, err)
 		return
 	}
-	epoch, err := m.PopUvarint()
-	if err != nil {
-		return
-	}
-	name, err := m.PopString()
-	if err != nil {
-		return
-	}
-	ids, err := m.PopUvarintSlice()
-	if err != nil {
-		return
-	}
-	xml, err := m.PopString()
-	if err != nil {
-		return
-	}
-	members := make([]appia.NodeID, len(ids))
-	for i, u := range ids {
-		members[i] = appia.NodeID(uint32(u))
-	}
-	e.TargetGroup, e.Epoch, e.ConfigName, e.Members, e.XML = groupName, epoch, name, members, xml
 	s.wireMu.Lock()
 	if s.infos == nil {
 		s.infos = make(map[string]GroupInfo)
 	}
-	if cur, ok := s.infos[groupName]; !ok || epoch >= cur.Epoch {
-		s.infos[groupName] = GroupInfo{
-			Group: groupName, Epoch: epoch, ConfigName: name,
-			Members: members, XML: xml,
-		}
+	if cur, ok := s.infos[e.TargetGroup]; !ok || e.Epoch >= cur.Epoch {
+		s.infos[e.TargetGroup] = e.GroupInfo
 	}
 	s.wireMu.Unlock()
 }
@@ -861,32 +815,16 @@ func (s *Session) onGroupJoin(ch *appia.Channel, e *GroupJoinEvent) {
 		ch.Forward(e)
 		return
 	}
-	m := e.EnsureMsg()
-	groupName, err := m.PopString()
-	if err != nil {
-		return
+	if e.pop(e.EnsureMsg()) != nil || e.Member == s.cfg.Self {
+		return // undecodable, or our own announcement echoing back
 	}
-	u, err := m.PopUvarint()
-	if err != nil {
-		return
-	}
-	member := appia.NodeID(uint32(u))
-	e.TargetGroup, e.Member = groupName, member
-	if member == s.cfg.Self {
-		return // our own announcement echoing back
-	}
-	gs := s.lookup(groupName)
-	if gs == nil || len(gs.rt.Members) == 0 {
+	gs := s.lookup(e.TargetGroup)
+	if gs == nil || len(gs.rt.Members) == 0 || slices.Contains(gs.rt.Members, e.Member) {
 		// Not hosting, or membership slaved to the whole control group —
-		// which tracks the joiner by construction.
+		// which tracks the joiner by construction — or already listed.
 		return
 	}
-	for _, mbr := range gs.rt.Members {
-		if mbr == member {
-			return
-		}
-	}
-	gs.rt.Members = group.NormalizeMembers(append(gs.rt.Members, member))
+	gs.rt.Members = group.NormalizeMembers(append(gs.rt.Members, e.Member))
 }
 
 // onGroupLeave narrows a hosted group's configured membership after a
@@ -900,18 +838,10 @@ func (s *Session) onGroupLeave(ch *appia.Channel, e *GroupLeaveEvent) {
 		ch.Forward(e)
 		return
 	}
-	m := e.EnsureMsg()
-	groupName, err := m.PopString()
-	if err != nil {
+	if e.pop(e.EnsureMsg()) != nil {
 		return
 	}
-	u, err := m.PopUvarint()
-	if err != nil {
-		return
-	}
-	member := appia.NodeID(uint32(u))
-	e.TargetGroup, e.Member = groupName, member
-	gs := s.lookup(groupName)
+	gs := s.lookup(e.TargetGroup)
 	if gs == nil {
 		return // not hosting (or we are the leaver: Leave unregisters first)
 	}
@@ -919,39 +849,19 @@ func (s *Session) onGroupLeave(ch *appia.Channel, e *GroupLeaveEvent) {
 		// Whole-control-group membership: materialize it minus the leaver —
 		// the leaver stays control-live, so restriction alone cannot excuse
 		// it.
-		gs.rt.Members = append([]appia.NodeID(nil), s.view.Members...)
+		gs.rt.Members = slices.Clone(s.view.Members)
 	}
-	kept := gs.rt.Members[:0]
-	for _, mbr := range gs.rt.Members {
-		if mbr != member {
-			kept = append(kept, mbr)
-		}
-	}
-	gs.rt.Members = kept
+	isLeaver := func(m appia.NodeID) bool { return m == e.Member }
+	gs.rt.Members = slices.DeleteFunc(gs.rt.Members, isLeaver)
 	// Evict the leaver from the running data view. Scoped to the surviving
 	// view members so the lowest survivor coordinates even when the leaver
 	// was the data channel's coordinator.
 	vm := gs.rt.Manager.ViewMembers()
-	inView := false
-	survivors := make([]appia.NodeID, 0, len(vm))
-	for _, mbr := range vm {
-		if mbr == member {
-			inView = true
-			continue
-		}
-		survivors = append(survivors, mbr)
-	}
-	if !inView || len(survivors) == 0 {
+	if !slices.Contains(vm, e.Member) {
 		return // already excluded (a repair or eviction got there first)
 	}
-	selfIn := false
-	for _, mbr := range survivors {
-		if mbr == s.cfg.Self {
-			selfIn = true
-			break
-		}
-	}
-	if !selfIn {
+	survivors := slices.DeleteFunc(vm, isLeaver)
+	if !slices.Contains(survivors, s.cfg.Self) {
 		return
 	}
 	dch := gs.rt.Manager.Channel()
@@ -962,7 +872,7 @@ func (s *Session) onGroupLeave(ch *appia.Channel, e *GroupLeaveEvent) {
 	if err := dch.Insert(trigger, appia.Down); err != nil {
 		// A reconfiguration is tearing the channel down: the next epoch
 		// bootstraps from the already-narrowed membership.
-		s.cfg.logf("core[%d]: group %q: leave flush for %d: %v", s.cfg.Self, groupName, member, err)
+		s.cfg.logf("core[%d]: group %q: leave flush for %d: %v", s.cfg.Self, e.TargetGroup, e.Member, err)
 	}
 }
 
@@ -1020,19 +930,16 @@ func (s *Session) announceMembership(groupName string, member appia.NodeID, join
 	if ch == nil {
 		return ErrNotReady
 	}
-	var ev appia.Sendable
-	var base *group.CastEvent
+	gm := groupMember{groupName, member}
+	var ev group.Caster
 	if join {
-		je := &GroupJoinEvent{TargetGroup: groupName, Member: member}
-		ev, base = je, &je.CastEvent
+		ev = &GroupJoinEvent{groupMember: gm}
 	} else {
-		le := &GroupLeaveEvent{TargetGroup: groupName, Member: member}
-		ev, base = le, &le.CastEvent
+		ev = &GroupLeaveEvent{groupMember: gm}
 	}
+	base := ev.CastBase()
 	base.Class = appia.ClassControl
-	m := base.EnsureMsg()
-	m.PushUvarint(uint64(uint32(member)))
-	m.PushString(groupName)
+	gm.push(base.EnsureMsg())
 	return ch.Insert(ev, appia.Down)
 }
 

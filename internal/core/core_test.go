@@ -2,7 +2,6 @@ package core
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -264,9 +263,13 @@ func TestStaticPolicy(t *testing.T) {
 
 // --- Full control-loop test ---------------------------------------------------
 
-// TestCoreControlLoop drives a 2-node control channel with a static policy
-// and verifies the prepare/deploy/ack cycle completes.
-func TestCoreControlLoop(t *testing.T) {
+// startControlLoop starts an n-node control channel whose default group
+// runs the plain stack under a static policy asking for mecho(1), so the
+// group's coordinator reconfigures it as soon as the loop is up. below, when
+// non-nil, is placed directly beneath each node's Core layer. done receives
+// the epoch of every completed reconfiguration.
+func startControlLoop(t testing.TB, n int, below appia.Layer) (sessions []*Session, managers []*stack.Manager, done chan uint64) {
+	t.Helper()
 	w := vnet.NewWorld(3)
 	t.Cleanup(func() { _ = w.Close() })
 	w.AddSegment(vnet.SegmentConfig{Name: "lan", NativeMulticast: true})
@@ -274,17 +277,12 @@ func TestCoreControlLoop(t *testing.T) {
 	cocaditem.RegisterWireEvents(nil)
 	RegisterWireEvents(nil)
 
-	members := []appia.NodeID{1, 2}
-	done := make(chan uint64, 2)
-	var closers []func()
-	t.Cleanup(func() {
-		for _, c := range closers {
-			c()
-		}
-	})
-	var managers []*stack.Manager
+	members := make([]appia.NodeID, n)
+	for i := range members {
+		members[i] = appia.NodeID(i + 1)
+	}
+	done = make(chan uint64, n)
 	for _, id := range members {
-		id := id
 		vn, err := w.AddNode(id, vnet.Fixed, "lan")
 		if err != nil {
 			t.Fatal(err)
@@ -298,28 +296,32 @@ func TestCoreControlLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 		managers = append(managers, mgr)
-		q, err := appia.NewQoS("ctl",
+		layers := []appia.Layer{
 			transport.NewPTPLayer(transport.Config{Node: vn, Port: "ctl", Logf: t.Logf}),
 			group.NewFanoutLayer(group.FanoutConfig{Self: id, InitialMembers: members}),
 			group.NewNakLayer(group.NakConfig{Self: id, InitialMembers: members, NackDelay: 10 * time.Millisecond, StableInterval: 40 * time.Millisecond}),
 			group.NewGMSLayer(group.GMSConfig{Self: id, InitialMembers: members}),
 			cocaditem.NewLayer(cocaditem.Config{Self: id, Interval: 20 * time.Millisecond, Retrievers: []cocaditem.Retriever{cocaditem.DeviceClassRetriever(vn)}}),
-			NewLayer(Config{
-				Self: id,
-				Groups: []GroupRuntime{{
-					Group:   DefaultGroup,
-					Manager: mgr,
-					Members: members,
-					Policies: []Policy{StaticPolicy{Config: MechoConfigName(1), Make: func() Decision {
-						return Decision{ConfigName: MechoConfigName(1), Doc: MechoConfig(1)}
-					}}},
-					OnReconfigured: func(epoch uint64, name string, took time.Duration) {
-						done <- epoch
-					},
-				}},
-				EvalInterval: 30 * time.Millisecond,
-			}),
-		)
+		}
+		if below != nil {
+			layers = append(layers, below)
+		}
+		layers = append(layers, NewLayer(Config{
+			Self: id,
+			Groups: []GroupRuntime{{
+				Group:   DefaultGroup,
+				Manager: mgr,
+				Members: members,
+				Policies: []Policy{StaticPolicy{Config: MechoConfigName(1), Make: func() Decision {
+					return Decision{ConfigName: MechoConfigName(1), Doc: MechoConfig(1)}
+				}}},
+				OnReconfigured: func(epoch uint64, name string, took time.Duration) {
+					done <- epoch
+				},
+			}},
+			EvalInterval: 30 * time.Millisecond,
+		}))
+		q, err := appia.NewQoS("ctl", layers...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,13 +329,20 @@ func TestCoreControlLoop(t *testing.T) {
 		if err := ch.Start(); err != nil {
 			t.Fatal(err)
 		}
-		closers = append(closers, func() {
+		t.Cleanup(func() {
 			_ = ch.Close()
 			_ = mgr.Close()
 			sched.Close()
 		})
+		sessions = append(sessions, ch.SessionFor("core").(*Session))
 	}
+	return sessions, managers, done
+}
 
+// TestCoreControlLoop drives a 2-node control channel with a static policy
+// and verifies the prepare/deploy/ack cycle completes.
+func TestCoreControlLoop(t *testing.T) {
+	_, managers, done := startControlLoop(t, 2, nil)
 	select {
 	case epoch := <-done:
 		if epoch != 2 {
@@ -344,12 +353,10 @@ func TestCoreControlLoop(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if managers[0].ConfigName() == MechoConfigName(1) && managers[1].ConfigName() == MechoConfigName(1) {
+		if managers[0].Deployment().ConfigName == MechoConfigName(1) && managers[1].Deployment().ConfigName == MechoConfigName(1) {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("managers = %q, %q", managers[0].ConfigName(), managers[1].ConfigName())
+	t.Fatalf("managers = %q, %q", managers[0].Deployment().ConfigName, managers[1].Deployment().ConfigName)
 }
-
-var _ sync.Mutex // keep sync imported if assertions above change

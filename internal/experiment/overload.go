@@ -257,7 +257,7 @@ func RunOverload(cfg OverloadConfig) ([]OverloadRow, error) {
 			if fs.Window.InUse != 0 || fs.BufferedSends != 0 {
 				return false
 			}
-			for _, m := range nd.Manager().Members() {
+			for _, m := range nd.Manager().Deployment().Members {
 				if m == victimID {
 					return false
 				}
@@ -315,7 +315,7 @@ func flowDebug(nodes map[appia.NodeID]*morpheus.Node, senders []appia.NodeID, se
 		fs := nodes[id].Group(morpheus.DefaultGroup).FlowStats()
 		b = fmt.Appendf(b, "[%d inuse=%d acq=%d rel=%d buffered=%d naksentHW=%d epoch=%d cfg=%s members=%v",
 			id, fs.Window.InUse, fs.Window.Acquired, fs.Window.Released,
-			fs.BufferedSends, fs.Nak.SentHighWater, nodes[id].Epoch(), nodes[id].ConfigName(), nodes[id].Manager().Members())
+			fs.BufferedSends, fs.Nak.SentHighWater, nodes[id].Epoch(), nodes[id].ConfigName(), nodes[id].Manager().Deployment().Members)
 		if n, ok := sent[id]; ok {
 			b = fmt.Appendf(b, " sent=%d", n.Load())
 		}

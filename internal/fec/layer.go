@@ -34,9 +34,6 @@ type LayerConfig struct {
 	// this window, so tail messages get parity protection too
 	// (default 50ms).
 	FlushAfter time.Duration
-	// Registry resolves event kinds for shard payload framing; nil means
-	// the process default.
-	Registry *appia.EventKindRegistry
 }
 
 func (c *LayerConfig) k() int {
@@ -58,13 +55,6 @@ func (c *LayerConfig) flushAfter() time.Duration {
 		return 50 * time.Millisecond
 	}
 	return c.FlushAfter
-}
-
-func (c *LayerConfig) registry() *appia.EventKindRegistry {
-	if c.Registry == nil {
-		return appia.DefaultRegistry()
-	}
-	return c.Registry
 }
 
 // Layer is the error-masking alternative to the NAK layer (§2: "for larger
@@ -161,7 +151,7 @@ func (s *fecSession) Handle(ch *appia.Channel, ev appia.Event) {
 // sendCast emits the cast immediately as a data shard and adds it to the
 // open block.
 func (s *fecSession) sendCast(ch *appia.Channel, c group.Caster) {
-	payload, err := encodeCast(s.cfg.registry(), c)
+	payload, err := encodeCast(c)
 	if err != nil {
 		return
 	}
@@ -320,7 +310,7 @@ func (s *fecSession) tryReconstruct(ch *appia.Channel, b *rxBlock) {
 
 // deliverPayload decodes a serialized cast and forwards it upward.
 func (s *fecSession) deliverPayload(ch *appia.Channel, payload []byte) {
-	ev, err := decodeCast(s.cfg.registry(), payload)
+	ev, err := decodeCast(payload)
 	if err != nil {
 		return
 	}
@@ -330,8 +320,8 @@ func (s *fecSession) deliverPayload(ch *appia.Channel, payload []byte) {
 
 // encodeCast frames an event as kind + message bytes, with a leading true
 // length so padding strips cleanly.
-func encodeCast(reg *appia.EventKindRegistry, c group.Caster) ([]byte, error) {
-	kind, err := reg.KindOf(c)
+func encodeCast(c group.Caster) ([]byte, error) {
+	kind, err := appia.DefaultRegistry().KindOf(c)
 	if err != nil {
 		return nil, err
 	}
@@ -349,7 +339,7 @@ func encodeCast(reg *appia.EventKindRegistry, c group.Caster) ([]byte, error) {
 }
 
 // decodeCast reverses encodeCast, ignoring padding beyond the true length.
-func decodeCast(reg *appia.EventKindRegistry, payload []byte) (appia.Sendable, error) {
+func decodeCast(payload []byte) (appia.Sendable, error) {
 	m := appia.FromWire(payload)
 	total, err := m.PopUvarint()
 	if err != nil {
@@ -364,7 +354,7 @@ func decodeCast(reg *appia.EventKindRegistry, payload []byte) (appia.Sendable, e
 	if err != nil {
 		return nil, err
 	}
-	ev, err := reg.New(kind)
+	ev, err := appia.DefaultRegistry().New(kind)
 	if err != nil {
 		return nil, err
 	}

@@ -3,8 +3,9 @@
 // bound on the number of application casts a group may have in flight.
 // Credits are denominated by the caller: the runtime's message window
 // charges one credit per cast, and its byte window charges credits per
-// payload byte (priced by CostModel, clamped by Clamp), so backpressure
-// can bound retained bytes as well as retained messages.
+// payload byte (clamped by Clamp), so backpressure can bound retained bytes
+// as well as retained messages. Credit is what one accepted cast holds of
+// both, and Windows is the pair it is acquired from and released to.
 //
 // The paper's habitat is resource-constrained (mobile nodes, radio-cost
 // budgets), yet a fire-and-forget Send gives the runtime three unbounded
@@ -36,8 +37,8 @@ import (
 
 // Window errors.
 var (
-	// ErrWindowFull is returned by TrySend-style non-blocking acquires
-	// when every credit is in flight.
+	// ErrWindowFull is returned by non-waiting (TrySend-style) acquires
+	// when the credits asked for are not all free.
 	ErrWindowFull = errors.New("flowctl: send window full")
 	// ErrWindowClosed reports an acquire on (or a blocked acquire woken
 	// by) a closed window — the group has been left or its node closed.
@@ -90,11 +91,6 @@ func (w *Window) tryAcquireNLocked(n int) bool {
 	return true
 }
 
-// tryAcquire takes one credit if available. Must hold w.mu.
-func (w *Window) tryAcquireLocked() bool {
-	return w.tryAcquireNLocked(1)
-}
-
 // Clamp bounds an acquisition cost to the window capacity, so a single
 // item costing more than the whole window charges exactly the whole
 // window instead of deadlocking forever; it also floors the cost at one
@@ -130,43 +126,29 @@ func (w *Window) wakeLocked() {
 	}
 }
 
-// TryAcquire takes one credit without blocking; it returns ErrWindowFull
-// when none is free and ErrWindowClosed after Close.
-func (w *Window) TryAcquire() error { return w.TryAcquireN(1) }
-
-// TryAcquireN takes n credits atomically without blocking (n is clamped
-// as by Clamp); it returns ErrWindowFull when they are not all free and
-// ErrWindowClosed after Close.
-func (w *Window) TryAcquireN(n int) error {
-	if w == nil {
-		return nil
-	}
-	n = w.Clamp(n)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return ErrWindowClosed
-	}
-	if !w.tryAcquireNLocked(n) {
-		w.rejected++
-		return ErrWindowFull
-	}
-	return nil
-}
-
 // Acquire takes one credit, blocking through the clock until one frees.
 // Under a virtual clock the caller must be an actor (the clock's creator,
 // a scheduler, or a clock.Go goroutine).
-func (w *Window) Acquire() error { return w.AcquireN(1) }
+func (w *Window) Acquire() error { return w.acquire(nil, 1, true) }
 
-// AcquireN takes n credits atomically (clamped as by Clamp), blocking
-// through the clock until they are all free.
-func (w *Window) AcquireN(n int) error {
+// acquire takes n credits atomically (n is clamped as by Clamp). With wait
+// it parks through the clock until they are all free, bounded by ctx when
+// that is non-nil: cancellation is checked between credit wakeups, and
+// under a wall clock the wait itself also unblocks on ctx expiry. (Under a
+// virtual clock a context deadline is wall time and therefore foreign to
+// the deterministic timeline.) Without wait it returns ErrWindowFull
+// instead of parking. ErrWindowClosed after Close, either way.
+func (w *Window) acquire(ctx context.Context, n int, wait bool) error {
 	if w == nil {
 		return nil
 	}
 	n = w.Clamp(n)
 	for {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
 		w.mu.Lock()
 		if w.closed {
 			w.mu.Unlock()
@@ -176,42 +158,10 @@ func (w *Window) AcquireN(n int) error {
 			w.mu.Unlock()
 			return nil
 		}
-		gate := w.waitChLocked()
-		w.mu.Unlock()
-		w.clk.Wait(gate)
-	}
-}
-
-// AcquireContext is Acquire bounded by ctx. A nil ctx behaves like
-// Acquire. Cancellation is checked between credit wakeups; under a wall
-// clock the wait itself also unblocks on ctx expiry. (Under a virtual
-// clock a context deadline is wall time and therefore foreign to the
-// deterministic timeline: prefer Acquire or TryAcquire there.)
-func (w *Window) AcquireContext(ctx context.Context) error {
-	return w.AcquireContextN(ctx, 1)
-}
-
-// AcquireContextN is AcquireN bounded by ctx.
-func (w *Window) AcquireContextN(ctx context.Context, n int) error {
-	if w == nil {
-		return nil
-	}
-	if ctx == nil {
-		return w.AcquireN(n)
-	}
-	n = w.Clamp(n)
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		w.mu.Lock()
-		if w.closed {
+		if !wait {
+			w.rejected++
 			w.mu.Unlock()
-			return ErrWindowClosed
-		}
-		if w.tryAcquireNLocked(n) {
-			w.mu.Unlock()
-			return nil
+			return ErrWindowFull
 		}
 		gate := w.waitChLocked()
 		w.mu.Unlock()
@@ -223,7 +173,7 @@ func (w *Window) AcquireContextN(ctx context.Context, n int) error {
 // waits on the gate alone). Ctx cancellation is merged into one channel
 // the clock can wait on; the merge goroutine touches no simulation state,
 // so it is exempt from the virtual clock's actor regime. Shared by
-// Window.AcquireContext and the stack manager's mailbox-admission wait.
+// Window.acquire and the stack manager's mailbox-admission wait.
 func WaitGate(clk clock.Clock, gate <-chan struct{}, ctx context.Context) {
 	clk = clock.Or(clk)
 	if ctx == nil {
@@ -311,39 +261,8 @@ type Stats struct {
 	// Acquired and Released count credit movements; at quiescence
 	// Acquired == Released and InUse == 0.
 	Acquired, Released uint64
-	// Rejected counts TryAcquire calls that returned ErrWindowFull.
+	// Rejected counts non-waiting acquires that returned ErrWindowFull.
 	Rejected uint64
-}
-
-// CostModel prices a payload in byte-window credits. The zero value (and
-// a nil model) charges one credit per payload byte, floored at one credit
-// so empty payloads still occupy a slot. Weights let deployments price
-// traffic classes asymmetrically — control gossip cheaper than bulk data,
-// say — without a second window.
-type CostModel struct {
-	// PerByte is the credits charged per payload byte; 0 means 1.
-	PerByte int
-	// ClassWeights multiplies the cost for specific accounting classes;
-	// absent or non-positive entries mean weight 1.
-	ClassWeights map[string]int
-}
-
-// Cost prices size payload bytes of the given class. Always >= 1.
-func (m *CostModel) Cost(class string, size int) int {
-	per, wt := 1, 1
-	if m != nil {
-		if m.PerByte > 0 {
-			per = m.PerByte
-		}
-		if w, ok := m.ClassWeights[class]; ok && w > 0 {
-			wt = w
-		}
-	}
-	c := size * per * wt
-	if c < 1 {
-		c = 1
-	}
-	return c
 }
 
 // Stats snapshots the window counters.
@@ -361,4 +280,52 @@ func (w *Window) Stats() Stats {
 		Released:  w.released,
 		Rejected:  w.rejected,
 	}
+}
+
+// Credit is what one accepted cast holds of a group's send windows: Msgs
+// message credits (one per cast) and Bytes byte credits (its clamped payload
+// size; 0 with byte windowing off). The zero value holds nothing. It is
+// stamped on the cast once, at acquisition, so every release — stability,
+// view install, teardown, a failed insert — moves exactly what was acquired.
+type Credit struct{ Msgs, Bytes int }
+
+// Releaser is the sink held credits are returned to. The reliable layer
+// sees its group's Windows only as this.
+type Releaser interface{ Release(Credit) }
+
+// Windows pairs a group's message window with its byte window (nil when
+// byte windowing is off).
+type Windows struct{ Msgs, Bytes *Window }
+
+// Acquire takes the credit for one cast of payloadLen bytes: waiting as
+// Window.acquire does (parked through the clock and bounded by a non-nil
+// ctx with wait set, ErrWindowFull instead without). The order is fixed —
+// message credit, then byte credits — so two concurrent senders can never
+// deadlock across the pair, and a failure on the second gives the first
+// back.
+func (p Windows) Acquire(ctx context.Context, wait bool, payloadLen int) (Credit, error) {
+	if err := p.Msgs.acquire(ctx, 1, wait); err != nil {
+		return Credit{}, err
+	}
+	c := Credit{Msgs: 1}
+	if p.Bytes != nil {
+		c.Bytes = p.Bytes.Clamp(payloadLen)
+		if err := p.Bytes.acquire(ctx, c.Bytes, wait); err != nil {
+			p.Msgs.Release(1)
+			return Credit{}, err
+		}
+	}
+	return c, nil
+}
+
+// Release returns c to the windows it was acquired from.
+func (p Windows) Release(c Credit) {
+	p.Msgs.Release(c.Msgs)
+	p.Bytes.Release(c.Bytes)
+}
+
+// Close closes both windows.
+func (p Windows) Close() {
+	p.Msgs.Close()
+	p.Bytes.Close()
 }

@@ -1,7 +1,6 @@
 package flowctl
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -16,7 +15,7 @@ func TestNilWindowIsDisabled(t *testing.T) {
 	if err := w.Acquire(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.TryAcquire(); err != nil {
+	if err := w.acquire(nil, 1, false); err != nil {
 		t.Fatal(err)
 	}
 	w.Release(3)
@@ -29,27 +28,6 @@ func TestNilWindowIsDisabled(t *testing.T) {
 	}
 	if got := New(-5, nil); got != nil {
 		t.Fatalf("New(-5) = %v, want nil (disabled)", got)
-	}
-}
-
-func TestTryAcquireBackpressure(t *testing.T) {
-	w := New(2, nil)
-	if err := w.TryAcquire(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.TryAcquire(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.TryAcquire(); !errors.Is(err, ErrWindowFull) {
-		t.Fatalf("err = %v, want ErrWindowFull", err)
-	}
-	st := w.Stats()
-	if st.InUse != 2 || st.HighWater != 2 || st.Rejected != 1 || st.Acquired != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-	w.Release(1)
-	if err := w.TryAcquire(); err != nil {
-		t.Fatalf("after release: %v", err)
 	}
 }
 
@@ -93,25 +71,8 @@ func TestCloseWakesWaiters(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Acquire never woke after Close")
 	}
-	if err := w.TryAcquire(); !errors.Is(err, ErrWindowClosed) {
+	if err := w.acquire(nil, 1, false); !errors.Is(err, ErrWindowClosed) {
 		t.Fatalf("TryAcquire after Close = %v", err)
-	}
-}
-
-func TestAcquireContextCancellation(t *testing.T) {
-	w := New(1, nil)
-	if err := w.AcquireContext(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if err := w.AcquireContext(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
-	// A fresh context succeeds once a credit frees.
-	w.Release(1)
-	if err := w.AcquireContext(context.Background()); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -172,7 +133,7 @@ func TestOverRelease(t *testing.T) {
 	if st.Released <= st.Acquired {
 		t.Fatalf("over-release must be visible: %+v", st)
 	}
-	if err := w.TryAcquire(); err != nil {
+	if err := w.acquire(nil, 1, false); err != nil {
 		t.Fatal("window unusable after clamped over-release")
 	}
 }

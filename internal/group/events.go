@@ -16,6 +16,7 @@ import (
 	"sort"
 
 	"morpheus/internal/appia"
+	"morpheus/internal/flowctl"
 )
 
 // View is an agreed membership epoch.
@@ -187,21 +188,14 @@ type CastEvent struct {
 	Origin appia.NodeID
 	Seq    uint64
 	Group  string
-	// Windowed is local metadata (never on the wire, not copied by
-	// CloneSendable): the stack manager sets it on application casts that
-	// hold a send-window credit, and the reliable layer releases that
-	// credit back once stability gossip confirms every peer delivered the
-	// cast (or at channel teardown, when the flush has equalised
-	// deliveries). Control casts and unwindowed configurations leave it
-	// false.
-	Windowed bool
-	// WindowBytes is the byte-window cost this cast holds (local metadata,
-	// like Windowed): the stack manager charges it against the group's
-	// byte-denominated send window on submission, and the reliable layer
-	// releases exactly this many byte credits on the same stability
-	// watermark that returns the message credit. Zero when byte windowing
-	// is disabled.
-	WindowBytes int
+	// Credit is local metadata (never on the wire, not copied by
+	// CloneSendable): the send-window credit this cast holds. The stack
+	// manager stamps it on application casts at submission, and the
+	// reliable layer releases exactly that once stability gossip confirms
+	// every peer delivered the cast (or at a view install or channel
+	// teardown, when the flush has equalised deliveries). Control casts and
+	// unwindowed configurations leave it zero.
+	Credit flowctl.Credit
 }
 
 // CastBase implements Caster.

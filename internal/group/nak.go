@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"morpheus/internal/appia"
+	"morpheus/internal/flowctl"
 )
 
 // ErrUnboundedNak reports a NakConfig whose negative StableInterval would
@@ -13,13 +14,6 @@ import (
 // retransmission buffers.
 var ErrUnboundedNak = errors.New(
 	"group: negative StableInterval would disable stability gossip and let retransmission buffers grow without bound")
-
-// CreditReleaser receives send-window credits back as the reliable layer
-// observes stability (internal/flowctl.Window implements it; the interface
-// keeps this package substrate- and window-implementation-blind).
-type CreditReleaser interface {
-	Release(n int)
-}
 
 // NakConfig configures the reliable FIFO multicast layer.
 type NakConfig struct {
@@ -49,19 +43,13 @@ type NakConfig struct {
 	// StableEvery is kept purely to bound buffer growth between idle
 	// ticks under sustained load.
 	StableEvery int
-	// Window, when non-nil, receives one credit back for every windowed
-	// cast (CastEvent.Windowed) this session originated, once stability
-	// gossip shows every peer delivered it — and for every windowed cast
-	// still unconfirmed at channel teardown, where the view-synchronous
-	// flush has already equalised deliveries. This wires the NAK
-	// DeliveredVector watermarks into the per-group send window.
-	Window CreditReleaser
-	// BytesWindow, when non-nil, receives CastEvent.WindowBytes byte
-	// credits back on exactly the same watermarks as Window: stability
-	// confirmation, view install, and channel teardown. It wires the
-	// byte-denominated send window (flowctl credits per payload byte)
-	// through the reliable layer.
-	BytesWindow CreditReleaser
+	// Credits, when non-nil, receives back the CastEvent.Credit of every cast
+	// this session originated, once stability gossip shows every peer
+	// delivered it — and of every cast still unconfirmed at a view install
+	// or at channel teardown, where the view-synchronous flush has already
+	// equalised deliveries. This wires the NAK DeliveredVector watermarks
+	// into the per-group send windows.
+	Credits flowctl.Releaser
 	// MaxRetained hard-caps each retention ring: the own-cast buffer and
 	// each per-origin history hold at most this many payloads (oldest
 	// dropped first), each per-origin reorder buffer only casts fewer than
@@ -198,14 +186,12 @@ func (st *originState) missing() bool {
 }
 
 // sentSlot is one own cast awaiting stability: the retransmission payload
-// and the send-window credits the cast holds (bytes is its byte-window cost,
-// 0 with byte windowing disabled). A MaxRetained eviction drops ev only; the
-// slot and its credits stay until the stability watermark (or a view
+// and the send-window credit the cast holds. A MaxRetained eviction drops ev
+// only; the slot and its credit stay until the stability watermark (or a view
 // install, or teardown) releases them, so a credit is never lost to the cap.
 type sentSlot struct {
-	ev     appia.Sendable
-	credit bool
-	bytes  int
+	ev appia.Sendable
+	flowctl.Credit
 }
 
 type nakSession struct {
@@ -321,11 +307,9 @@ func (s *nakSession) sendCast(ch *appia.Channel, ev Caster) {
 		// Teardown debris: a cast that raced Close into the mailbox (the
 		// GMS forwards instead of pending these once stopped). The epoch
 		// is dead — transmitting, buffering or self-delivering it would
-		// all be wasted — so drop it here and return its credits, the one
+		// all be wasted — so drop it here and return its credit, the one
 		// thing that must not die with the channel.
-		if base.Windowed {
-			s.releaseCredits(1, base.WindowBytes)
-		}
+		s.release(base.Credit)
 		return
 	}
 	seq := s.nextSeq
@@ -336,11 +320,7 @@ func (s *nakSession) sendCast(ch *appia.Channel, ev Caster) {
 
 	// Retransmission buffer keeps a full clone, preserving the concrete
 	// type so a retransmitted Propose still decodes as a Propose.
-	slot := sentSlot{ev: appia.CloneSendable(ev)}
-	if base.Windowed && (s.cfg.Window != nil || s.cfg.BytesWindow != nil) {
-		slot.credit, slot.bytes = true, base.WindowBytes
-	}
-	s.sent.put(seq, slot)
+	s.sent.put(seq, sentSlot{appia.CloneSendable(ev), base.Credit})
 	s.cntSent++
 	bumpHW(&s.hwSent, s.cntSent)
 	if cap := s.cfg.MaxRetained; cap > 0 && s.cntSent > cap {
@@ -674,30 +654,27 @@ func (s *nakSession) handleStable(ch *appia.Channel, e *Stable) {
 	s.prune()
 }
 
-// releaseCredits returns n message credits and b byte credits to their
-// respective windows (either may be absent).
-func (s *nakSession) releaseCredits(n, b int) {
-	if n > 0 && s.cfg.Window != nil {
-		s.cfg.Window.Release(n)
-	}
-	if b > 0 && s.cfg.BytesWindow != nil {
-		s.cfg.BytesWindow.Release(b)
+// release returns c to the group's send windows (there may be none, and c
+// may hold nothing).
+func (s *nakSession) release(c flowctl.Credit) {
+	if s.cfg.Credits != nil && c != (flowctl.Credit{}) {
+		s.cfg.Credits.Release(c)
 	}
 }
 
 // releaseSent returns the credits held by own casts up to and including
 // upTo; the slots keep their payloads.
 func (s *nakSession) releaseSent(upTo uint64) {
-	n, bytes := 0, 0
+	var sum flowctl.Credit
 	lo, hi := s.sent.clamp(0, upTo)
 	for seq := lo; seq < hi; seq++ {
-		if slot := s.sent.get(seq); slot.credit {
-			n++
-			bytes += slot.bytes
+		if slot := s.sent.get(seq); slot.Credit != (flowctl.Credit{}) {
+			sum.Msgs += slot.Msgs
+			sum.Bytes += slot.Bytes
 			s.sent.put(seq, sentSlot{ev: slot.ev})
 		}
 	}
-	s.releaseCredits(n, bytes)
+	s.release(sum)
 }
 
 // retireSent drops own casts up to and including upTo, which every member

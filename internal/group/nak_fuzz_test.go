@@ -168,16 +168,16 @@ func FuzzNakWire(f *testing.F) {
 		if s.cntSent > maxRetained || s.cntSent > s.sent.live {
 			t.Fatalf("%d sent payloads: cap %d, %d slots occupied", s.cntSent, maxRetained, s.sent.live)
 		}
-		if r.win.n > own || r.winB.n > 3*own {
-			t.Fatalf("released %d credits / %d bytes for %d windowed casts", r.win.n, r.winB.n, own)
+		if r.win.Msgs > own || r.win.Bytes > 3*own {
+			t.Fatalf("released %d credits / %d bytes for %d windowed casts", r.win.Msgs, r.win.Bytes, own)
 		}
 
 		if err := r.ch.CloseAsync(); err != nil {
 			t.Fatal(err)
 		}
 		r.settle()
-		if r.win.n != own || r.winB.n != 3*own {
-			t.Fatalf("teardown left %d of %d credits and %d of %d bytes held", own-r.win.n, own, 3*own-r.winB.n, 3*own)
+		if r.win.Msgs != own || r.win.Bytes != 3*own {
+			t.Fatalf("teardown left %d of %d credits and %d of %d bytes held", own-r.win.Msgs, own, 3*own-r.win.Bytes, 3*own)
 		}
 	})
 }

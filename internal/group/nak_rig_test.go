@@ -6,11 +6,12 @@ import (
 	"time"
 
 	"morpheus/internal/appia"
+	"morpheus/internal/flowctl"
 )
 
 // nakRig drives one bare nakSession: a tap layer below it records what the
 // session puts on the wire, the channel's deliver upcall records what it
-// hands the application, and two counters stand in for the send windows.
+// hands the application, and one counter stands in for the send windows.
 // Timers are set to an hour and fired by hand, so every step is explicit.
 type nakRig struct {
 	t     *testing.T
@@ -20,21 +21,24 @@ type nakRig struct {
 	wire  []appia.Event // down-direction events that reached the bottom
 	app   []*CastEvent  // casts delivered upward
 	win   creditCount
-	winB  creditCount
 	// wedged is set when the scheduler goroutine is known to be stuck in a
 	// Handle that will not return: cleanup must not wait for it.
 	wedged bool
 }
 
-type creditCount struct{ n int }
+// creditCount sums what the session released.
+type creditCount struct{ flowctl.Credit }
 
-func (c *creditCount) Release(n int) { c.n += n }
+func (c *creditCount) Release(r flowctl.Credit) {
+	c.Msgs += r.Msgs
+	c.Bytes += r.Bytes
+}
 
 func newNakRig(t *testing.T, cfg NakConfig) *nakRig {
 	t.Helper()
 	r := &nakRig{t: t, sched: appia.NewScheduler()}
 	cfg.NackDelay, cfg.StableInterval = time.Hour, time.Hour
-	cfg.Window, cfg.BytesWindow = &r.win, &r.winB
+	cfg.Credits = &r.win
 	tap := &appia.BaseLayer{LayerName: "tap", LayerSpec: appia.LayerSpec{
 		Accepts: []appia.EventType{appia.TIface[appia.Sendable](), appia.T[*ViewInstall]()},
 	}}
@@ -112,7 +116,10 @@ func (r *nakRig) own(windowed bool, bytes int) {
 }
 
 func ownCast(windowed bool, bytes int) *CastEvent {
-	ev := &CastEvent{Windowed: windowed, WindowBytes: bytes}
+	ev := &CastEvent{}
+	if windowed {
+		ev.Credit = flowctl.Credit{Msgs: 1, Bytes: bytes}
+	}
 	ev.Msg = appia.NewMessage([]byte("own"))
 	return ev
 }
@@ -215,8 +222,8 @@ func (r *nakRig) wantStats(want NakStats) {
 
 func (r *nakRig) wantCredits(n, bytes int) {
 	r.t.Helper()
-	if r.win.n != n || r.winB.n != bytes {
-		r.t.Fatalf("released %d credits / %d bytes, want %d / %d", r.win.n, r.winB.n, n, bytes)
+	if r.win.Credit != (flowctl.Credit{Msgs: n, Bytes: bytes}) {
+		r.t.Fatalf("released %+v, want %d credits / %d bytes", r.win.Credit, n, bytes)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -42,23 +43,15 @@ type ManagerConfig struct {
 	// Self is this node's identifier.
 	Self appia.NodeID
 	// Group names the hosted group this manager serves. When set, the
-	// per-epoch port is namespaced as "<group>/<base>@<epoch>", extending
+	// per-epoch port is namespaced as "<group>/data@<epoch>", extending
 	// the epoch isolation the port scheme already provides to group
 	// isolation: a node hosting many groups gives each one a disjoint port
 	// space, so frames can never cross groups even when two groups sit at
 	// the same epoch. Delivered casts are stamped with the group name.
-	// Empty means a single-group node (legacy "<base>@<epoch>" ports).
+	// Empty means a single-group node (legacy "data@<epoch>" ports).
 	Group string
 	// Scheduler runs all of the node's channels.
 	Scheduler *appia.Scheduler
-	// Registry resolves layer names; nil means NewStandardRegistry().
-	Registry *appiaxml.LayerRegistry
-	// Events resolves wire event kinds; nil means the process default.
-	Events *appia.EventKindRegistry
-	// ChannelName is the data channel name in documents (default "data").
-	ChannelName string
-	// BasePort prefixes the per-epoch vnet port (default "data").
-	BasePort string
 	// QuiesceTimeout bounds the wait for view-synchronous quiescence
 	// before a reconfiguration force-closes the old channel.
 	QuiesceTimeout time.Duration
@@ -78,17 +71,14 @@ type ManagerConfig struct {
 	// stability plane (e.g. pure FEC) send unwindowed.
 	SendWindow int
 	// SendWindowBytes is the byte-denominated companion to SendWindow: a
-	// second credit window charging each accepted payload its byte cost
-	// (priced by SendCost, clamped to the window capacity), released on
-	// the same stability watermark as the message credit. It bounds
+	// second credit window charging each accepted payload its size in
+	// bytes (clamped to the window capacity), released on the same
+	// stability watermark as the message credit. It bounds
 	// retained *bytes* where SendWindow bounds retained *messages*, so a
 	// few huge casts exert the same backpressure as many small ones. 0
 	// disables byte windowing; the byte window supplements the message
 	// window, never replaces it.
 	SendWindowBytes int
-	// SendCost prices payloads against the byte window; nil charges one
-	// credit per payload byte.
-	SendCost *flowctl.CostModel
 	// Logf receives diagnostics; nil discards them (library code never
 	// writes to the global logger).
 	Logf netio.Logf
@@ -101,27 +91,17 @@ func (c *ManagerConfig) sendWindow() int {
 	return c.SendWindow
 }
 
-func (c *ManagerConfig) channelName() string {
-	if c.ChannelName == "" {
-		return "data"
-	}
-	return c.ChannelName
-}
-
-func (c *ManagerConfig) basePort() string {
-	if c.BasePort == "" {
-		return "data"
-	}
-	return c.BasePort
-}
+// dataChannel names the data channel in configuration documents and
+// prefixes its per-epoch substrate port.
+const dataChannel = "data"
 
 // portFor computes the substrate port for one configuration epoch,
 // namespaced by group when the manager serves one of many hosted groups.
 func (c *ManagerConfig) portFor(epoch uint64) string {
 	if c.Group == "" {
-		return fmt.Sprintf("%s@%d", c.basePort(), epoch)
+		return fmt.Sprintf("%s@%d", dataChannel, epoch)
 	}
-	return fmt.Sprintf("%s/%s@%d", c.Group, c.basePort(), epoch)
+	return fmt.Sprintf("%s/%s@%d", c.Group, dataChannel, epoch)
 }
 
 func (c *ManagerConfig) clock() clock.Clock { return clock.Or(c.Clock) }
@@ -139,6 +119,29 @@ func (c *ManagerConfig) logf(format string, args ...any) {
 	}
 }
 
+// Deployment is what Core ships and the local module installs: one
+// configuration of the group's data channel at one epoch.
+type Deployment struct {
+	// Epoch numbers the configuration; the data channel's substrate port is
+	// derived from it.
+	Epoch uint64
+	// ConfigName names the configuration.
+	ConfigName string
+	// Members is the epoch's deploy-time bootstrap list.
+	Members []appia.NodeID
+	// View is the membership of the data channel's most recent *installed
+	// view* within the epoch — the live set, which mid-epoch view changes
+	// (failure evictions, late-join admissions, leave announcements) update
+	// without disturbing the deploy list the repair and redeploy paths
+	// reason about. Manager.Deployment reports Members here until the first
+	// install; what a caller passes in is ignored.
+	View []appia.NodeID
+	// Doc is the configuration document, retained so the control plane can
+	// redeploy the same configuration with a narrowed membership after a
+	// member death (membership repair).
+	Doc *appiaxml.Document
+}
+
 // Manager is the Core sub-system's local module: it owns the node's data
 // channel, deploys XML-described configurations, and performs the §3.3
 // reconfiguration procedure — quiesce via view synchrony, tear down,
@@ -146,36 +149,20 @@ func (c *ManagerConfig) logf(format string, args ...any) {
 type Manager struct {
 	cfg ManagerConfig
 	reg *appiaxml.LayerRegistry
-	// win is the group's send window (never nil: Deploy rejects a negative
-	// SendWindow and zero means DefaultSendWindow).
-	// Credits: one per accepted application payload, held across
-	// reconfiguration buffering and released by the reliable layer on
-	// stability (or by the resubmit path when the payload lands on an
+	// win is the group's send windows (Msgs never nil: Deploy rejects a
+	// negative SendWindow and zero means DefaultSendWindow; Bytes nil when
+	// byte windowing is off). One credit per accepted application payload,
+	// held across reconfiguration buffering and released by the reliable
+	// layer on stability (or by insert when the payload lands on an
 	// unwindowed stack).
-	win *flowctl.Window
-	// winB is the byte-denominated send window (nil when disabled): a
-	// payload charges its byte cost on acceptance and the reliable layer
-	// releases it on the same watermark as the message credit. Acquisition
-	// order is fixed — message credit, then byte credits — so two
-	// concurrent senders can never deadlock across the pair.
-	winB  *flowctl.Window
+	win   flowctl.Windows
 	state struct {
 		sync.Mutex
-		ch         *appia.Channel
-		epoch      uint64
-		configName string
-		members    []appia.NodeID
-		// viewMembers is the membership of the data channel's most recent
-		// *installed view* within the current epoch — distinct from members,
-		// the epoch's deploy-time bootstrap list. Mid-epoch view changes
-		// (failure evictions, late-join admissions, leave announcements)
-		// land here without disturbing the deploy list the repair and
-		// redeploy paths reason about. Nil until the first install.
-		viewMembers []appia.NodeID
-		// doc is the deployed configuration document, retained so the
-		// control plane can redeploy the same configuration with a
-		// narrowed membership after a member death (membership repair).
-		doc      *appiaxml.Document
+		ch *appia.Channel
+		// dep is the deployed configuration; dep.View is nil until the
+		// epoch's first view installs. Its slices are replaced, never
+		// written through.
+		dep      Deployment
 		buffered []heldSend // payloads held during reconfiguration
 		// windowed records whether the deployed channel contains a
 		// credit-releasing reliable layer; sends on unwindowed stacks
@@ -204,77 +191,52 @@ type Manager struct {
 	}
 }
 
-// heldSend is one payload buffered across a reconfiguration; credit
-// records whether it holds a send-window credit, bytes how many
-// byte-window credits ride along.
+// heldSend is one accepted payload and the credit it holds, on its way to
+// becoming a CastEvent (directly, or through the reconfiguration buffer).
 type heldSend struct {
 	payload []byte
-	credit  bool
-	bytes   int
+	flowctl.Credit
 }
 
 // NewManager returns a manager with nothing deployed yet. The standard
-// wire event kinds are registered in cfg.Events (or the process default)
-// so a freshly constructed manager can always decode its own traffic.
+// wire event kinds are registered in the process default registry so a
+// freshly constructed manager can always decode its own traffic.
 func NewManager(cfg ManagerConfig) *Manager {
-	reg := cfg.Registry
-	if reg == nil {
-		reg = NewStandardRegistry()
-	}
-	RegisterAllWireEvents(cfg.Events)
+	RegisterAllWireEvents(nil)
 	return &Manager{
-		cfg:  cfg,
-		reg:  reg,
-		win:  flowctl.New(cfg.sendWindow(), cfg.clock()),
-		winB: flowctl.New(cfg.SendWindowBytes, cfg.clock()),
+		cfg: cfg,
+		reg: NewStandardRegistry(),
+		win: flowctl.Windows{
+			Msgs:  flowctl.New(cfg.sendWindow(), cfg.clock()),
+			Bytes: flowctl.New(cfg.SendWindowBytes, cfg.clock()),
+		},
 	}
 }
 
-// Window exposes the group's send window.
-func (m *Manager) Window() *flowctl.Window { return m.win }
-
-// WindowBytes exposes the group's byte-denominated send window (nil when
-// disabled).
-func (m *Manager) WindowBytes() *flowctl.Window { return m.winB }
-
-// Epoch returns the current configuration epoch.
-func (m *Manager) Epoch() uint64 {
-	m.state.Lock()
-	defer m.state.Unlock()
-	return m.state.epoch
-}
-
-// ConfigName returns the name of the deployed configuration.
-func (m *Manager) ConfigName() string {
-	m.state.Lock()
-	defer m.state.Unlock()
-	return m.state.configName
-}
+// Window exposes the group's message send window.
+func (m *Manager) Window() *flowctl.Window { return m.win.Msgs }
 
 // Group returns the hosted group this manager serves ("" on single-group
 // nodes).
 func (m *Manager) Group() string { return m.cfg.Group }
 
-// Members returns the membership of the deployed configuration.
-func (m *Manager) Members() []appia.NodeID {
+// Deployment snapshots the deployed configuration under one lock hold, so
+// the epoch, name, document and memberships a caller sees always belong
+// together (the zero Deployment before the first Deploy).
+func (m *Manager) Deployment() Deployment {
 	m.state.Lock()
 	defer m.state.Unlock()
-	return append([]appia.NodeID(nil), m.state.members...)
+	d := m.state.dep
+	if d.View == nil {
+		d.View = d.Members
+	}
+	d.Members, d.View = slices.Clone(d.Members), slices.Clone(d.View)
+	return d
 }
 
 // ViewMembers returns the membership of the data channel's most recently
-// installed view — the live set, which mid-epoch view changes (evictions,
-// late-join admissions, leaves) update while Members keeps reporting the
-// epoch's deploy-time bootstrap list. Falls back to Members before the
-// first install of an epoch.
-func (m *Manager) ViewMembers() []appia.NodeID {
-	m.state.Lock()
-	defer m.state.Unlock()
-	if m.state.viewMembers == nil {
-		return append([]appia.NodeID(nil), m.state.members...)
-	}
-	return append([]appia.NodeID(nil), m.state.viewMembers...)
-}
+// installed view (see Deployment.View).
+func (m *Manager) ViewMembers() []appia.NodeID { return m.Deployment().View }
 
 // Channel returns the live data channel (nil before the first Deploy).
 func (m *Manager) Channel() *appia.Channel {
@@ -290,7 +252,8 @@ func (m *Manager) Deploy(doc *appiaxml.Document, configName string, epoch uint64
 	if m.cfg.SendWindow < 0 {
 		return fmt.Errorf("stack: negative SendWindow %d", m.cfg.SendWindow)
 	}
-	ch, err := m.build(doc, epoch, members)
+	d := Deployment{Epoch: epoch, ConfigName: configName, Members: members, Doc: doc}
+	ch, err := m.build(d)
 	if err != nil {
 		return err
 	}
@@ -306,59 +269,42 @@ func (m *Manager) Deploy(doc *appiaxml.Document, configName string, epoch uint64
 		_ = ch.Close()
 		return ErrClosed
 	}
-	m.installLocked(ch, doc, configName, epoch, members)
+	m.installLocked(ch, d)
 	m.state.Unlock()
 	return nil
 }
 
 // installLocked makes ch the deployed channel of a fresh epoch. Must hold
 // m.state.
-func (m *Manager) installLocked(ch *appia.Channel, doc *appiaxml.Document, configName string, epoch uint64, members []appia.NodeID) {
+func (m *Manager) installLocked(ch *appia.Channel, d Deployment) {
+	d.Members = slices.Clone(d.Members)
+	d.View = nil // live set = deploy list until a view installs
 	m.state.ch = ch
-	m.state.epoch = epoch
-	m.state.configName = configName
-	m.state.members = append([]appia.NodeID(nil), members...)
-	m.state.viewMembers = nil // live set = deploy list until a view installs
-	m.state.doc = doc
+	m.state.dep = d
 	// Only a channel with the reliable layer releases credits.
 	m.state.windowed = ch.SessionFor("group.nak") != nil
 	m.state.quiescentSeen = false // fresh channel, fresh lifecycle
 }
 
-// CurrentDocument returns the deployed configuration document (nil before
-// the first Deploy). The control plane uses it for membership-repair
-// redeployments of the same configuration.
-func (m *Manager) CurrentDocument() *appiaxml.Document {
-	m.state.Lock()
-	defer m.state.Unlock()
-	return m.state.doc
-}
-
-// build instantiates the channel for an epoch.
-func (m *Manager) build(doc *appiaxml.Document, epoch uint64, members []appia.NodeID) (*appia.Channel, error) {
-	spec, err := doc.Channel(m.cfg.channelName())
+// build instantiates the channel for a deployment.
+func (m *Manager) build(d Deployment) (*appia.Channel, error) {
+	spec, err := d.Doc.Channel(dataChannel)
 	if err != nil {
 		return nil, err
 	}
-	env := &appiaxml.Env{
+	return appiaxml.BuildChannel(spec, m.reg, &appiaxml.Env{
 		Node:       m.cfg.Node,
 		Self:       m.cfg.Self,
 		Group:      m.cfg.Group,
-		Members:    group.NormalizeMembers(append([]appia.NodeID(nil), members...)),
-		Port:       m.cfg.portFor(epoch),
-		Registry:   m.cfg.Events,
+		Members:    group.NormalizeMembers(slices.Clone(d.Members)),
+		Port:       m.cfg.portFor(d.Epoch),
 		Scheduler:  m.cfg.Scheduler,
 		Deliver:    m.deliver,
 		Logf:       m.cfg.logf,
 		Clock:      m.cfg.clock(),
-		Window:     m.win,
-		SendWindow: m.win.Capacity(),
-	}
-	if m.winB != nil {
-		env.BytesWindow = m.winB
-		env.SendWindowBytes = m.winB.Capacity()
-	}
-	return appiaxml.BuildChannel(spec, m.reg, env)
+		Credits:    m.win,
+		SendWindow: m.win.Msgs.Capacity(),
+	})
 }
 
 // deliver fans channel upcalls out to the application and the manager's
@@ -379,7 +325,7 @@ func (m *Manager) deliver(ev appia.Event) {
 		}
 	case *group.ViewInstall:
 		m.state.Lock()
-		m.state.viewMembers = append([]appia.NodeID(nil), e.View.Members...)
+		m.state.dep.View = slices.Clone(e.View.Members)
 		m.state.Unlock()
 		if m.cfg.OnViewChange != nil {
 			m.cfg.OnViewChange(e.View)
@@ -397,15 +343,6 @@ func (m *Manager) deliver(ev appia.Event) {
 	}
 }
 
-// sendMode selects how submit waits for a send-window credit.
-type sendMode int
-
-const (
-	sendBlock sendMode = iota
-	sendTry
-	sendCtx
-)
-
 // Send multicasts an application payload on the data channel. During a
 // reconfiguration the payload is buffered and re-submitted on the new
 // stack, so the application keeps its transparent-adaptation interface.
@@ -415,148 +352,131 @@ const (
 // (delivery callbacks) — use TrySend there. After Close or a group Leave
 // it returns ErrGroupClosed.
 func (m *Manager) Send(payload []byte) error {
-	return m.submit(payload, sendBlock, nil)
+	return m.submit(nil, true, payload)
 }
 
 // SendContext is Send bounded by ctx: a blocked send returns ctx.Err()
 // once the context is done. (Under a virtual clock a context deadline is
 // wall time; prefer Send or TrySend in deterministic runs.)
 func (m *Manager) SendContext(ctx context.Context, payload []byte) error {
-	return m.submit(payload, sendCtx, ctx)
+	return m.submit(ctx, true, payload)
 }
 
 // TrySend is the non-blocking Send: it returns ErrWindowFull instead of
 // waiting when the send window is exhausted or the mailbox is saturated.
 func (m *Manager) TrySend(payload []byte) error {
-	return m.submit(payload, sendTry, nil)
+	return m.submit(nil, false, payload)
 }
 
-// acquire takes n credits from w the way the send mode asks — without
-// waiting, bounded by ctx, or blocking — and reports a closed window as the
-// closed group it means.
-func acquire(w *flowctl.Window, n int, mode sendMode, ctx context.Context) error {
-	var err error
-	switch mode {
-	case sendTry:
-		err = w.TryAcquireN(n)
-	case sendCtx:
-		err = w.AcquireContextN(ctx, n)
-	default:
-		err = w.AcquireN(n)
-	}
-	if errors.Is(err, flowctl.ErrWindowClosed) {
-		return ErrGroupClosed
-	}
-	return err // nil, ErrWindowFull or the context's error
-}
-
-func (m *Manager) submit(payload []byte, mode sendMode, ctx context.Context) error {
-	m.state.Lock()
-	if m.state.closed {
-		m.state.Unlock()
-		return ErrGroupClosed
-	}
-	if m.state.ch == nil {
-		m.state.Unlock()
-		return ErrNotDeployed
-	}
-	m.state.Unlock()
-
-	// 1. Send-window credit. The credit is held until the reliable layer
-	// confirms group-wide delivery (or the payload provably dies with its
-	// group), bounding total in-flight retention.
-	if err := acquire(m.win, 1, mode, ctx); err != nil {
+// submit admits the payload, then places it; a payload that cannot be
+// placed gives its credit back.
+func (m *Manager) submit(ctx context.Context, wait bool, payload []byte) error {
+	c, err := m.admit(ctx, wait, len(payload))
+	if err != nil {
 		return err
 	}
-
-	// Byte credits, acquired strictly after the message credit (the fixed
-	// order rules out deadlock between the two windows). The clamped cost
-	// is remembered so acquire and release always move the same amount.
-	cost := 0
-	if m.winB != nil {
-		cost = m.winB.Clamp(m.cfg.SendCost.Cost("data", len(payload)))
-		if err := acquire(m.winB, cost, mode, ctx); err != nil {
-			m.win.Release(1)
-			return err
-		}
+	if err := m.place(heldSend{payload, c}); err != nil {
+		m.win.Release(c)
+		return err
 	}
-	release := func() {
-		m.win.Release(1)
-		if cost > 0 {
-			m.winB.Release(cost)
-		}
+	return nil
+}
+
+// admit takes everything a cast of n bytes needs before it may enter the
+// stack, waiting or not as the send mode asks (see flowctl.Windows.Acquire).
+func (m *Manager) admit(ctx context.Context, wait bool, n int) (flowctl.Credit, error) {
+	m.state.Lock()
+	closed, deployed := m.state.closed, m.state.ch != nil
+	m.state.Unlock()
+	if closed {
+		return flowctl.Credit{}, ErrGroupClosed
+	}
+	if !deployed {
+		return flowctl.Credit{}, ErrNotDeployed
+	}
+
+	// 1. Send-window credit, held until the reliable layer confirms
+	// group-wide delivery (or the payload provably dies with its group),
+	// bounding total in-flight retention. A closed window means a closed
+	// group.
+	c, err := m.win.Acquire(ctx, wait, n)
+	if errors.Is(err, flowctl.ErrWindowClosed) {
+		err = ErrGroupClosed
+	}
+	if err != nil {
+		return flowctl.Credit{}, err // else ErrWindowFull or the context's error
 	}
 
 	// 2. Mailbox admission: the bounded-mailbox gate asserts exactly this
 	// external-ingress path; intra-stack and network insertions stay
 	// non-blocking (see appia.Scheduler.SetMailboxBounds).
 	for gate := m.cfg.Scheduler.AdmitExternal(); gate != nil; gate = m.cfg.Scheduler.AdmitExternal() {
-		if mode == sendTry {
-			release()
-			return ErrWindowFull
+		if !wait {
+			err = ErrWindowFull
+		} else if ctx != nil {
+			err = ctx.Err() // SendContext's contract holds at this gate too
 		}
-		if ctx != nil {
-			// SendContext's contract holds at this gate too.
-			if err := ctx.Err(); err != nil {
-				release()
-				return err
-			}
+		if err != nil {
+			m.win.Release(c)
+			return flowctl.Credit{}, err
 		}
 		flowctl.WaitGate(m.cfg.clock(), gate, ctx) // a nil ctx waits on the gate alone
 	}
+	return c, nil
+}
 
-	// 3. Insert, handling the teardown/reconfiguration races.
+// place puts an admitted cast on the deployed channel, or — while a
+// reconfiguration is underway — in the resubmit buffer, handling the
+// teardown races between the two.
+func (m *Manager) place(hs heldSend) error {
 	var prev *appia.Channel
 	for {
 		m.state.Lock()
 		if m.state.closed {
 			m.state.Unlock()
-			release()
 			return ErrGroupClosed
 		}
 		if m.state.ch == nil {
 			m.state.Unlock()
-			release()
 			return ErrNotDeployed
 		}
 		if m.state.reconfig || m.state.ch == prev {
 			// Reconfiguring (or the channel closed under us without the
 			// state advancing yet): buffer for resubmission on the new
 			// stack. The credit rides along with the buffered payload.
-			cp := make([]byte, len(payload))
-			copy(cp, payload)
-			m.state.buffered = append(m.state.buffered, heldSend{payload: cp, credit: true, bytes: cost})
+			hs.payload = append([]byte(nil), hs.payload...)
+			m.state.buffered = append(m.state.buffered, hs)
 			m.state.Unlock()
 			return nil
 		}
-		ch := m.state.ch
-		windowed := m.state.windowed
+		ch, windowed := m.state.ch, m.state.windowed
 		m.state.Unlock()
 
-		ev := &group.CastEvent{}
-		ev.Msg = appia.NewMessage(payload)
-		ev.Windowed = windowed
-		if windowed {
-			ev.WindowBytes = cost
-		}
-		err := ch.Insert(ev, appia.Down)
-		if errors.Is(err, appia.ErrChannelClosed) {
-			// Raced a teardown: loop to learn whether this was a
-			// reconfiguration (buffer) or a close (ErrGroupClosed).
-			prev = ch
-			continue
-		}
-		if err != nil {
-			release()
+		err := m.insert(ch, windowed, hs)
+		if !errors.Is(err, appia.ErrChannelClosed) {
 			return err
 		}
-		if !windowed {
-			// No stability plane on this stack to return the credits: the
-			// send is fire-and-forget, so the credits come straight back.
-			release()
-		}
-		return nil
+		// Raced a teardown: loop to learn whether this was a
+		// reconfiguration (buffer) or a close (ErrGroupClosed).
+		prev = ch
 	}
+}
+
+// insert turns one held payload into a CastEvent on ch — the only place that
+// happens. On a windowed stack the cast carries its credit to the reliable
+// layer; on one without a stability plane the send is fire-and-forget and
+// the credit comes straight back. On error the caller still owns the credit.
+func (m *Manager) insert(ch *appia.Channel, windowed bool, hs heldSend) error {
+	ev := &group.CastEvent{}
+	ev.Msg = appia.NewMessage(hs.payload)
+	if windowed {
+		ev.Credit = hs.Credit
+	}
+	err := ch.Insert(ev, appia.Down)
+	if err == nil && !windowed {
+		m.win.Release(hs.Credit)
+	}
+	return err
 }
 
 // Reconfigure performs the full §3.3 procedure synchronously:
@@ -571,18 +491,17 @@ func (m *Manager) submit(payload []byte, mode sendMode, ctx context.Context) err
 //
 // It must be called from a non-scheduler goroutine (Core spawns one per
 // reconfiguration).
-func (m *Manager) Reconfigure(doc *appiaxml.Document, configName string, epoch uint64, members []appia.NodeID) error {
+func (m *Manager) Reconfigure(d Deployment) error {
 	m.state.Lock()
-	if epoch <= m.state.epoch {
+	if d.Epoch <= m.state.dep.Epoch {
 		m.state.Unlock()
-		return fmt.Errorf("%w: %d <= %d", ErrStaleEpoch, epoch, m.state.epoch)
+		return fmt.Errorf("%w: %d <= %d", ErrStaleEpoch, d.Epoch, m.state.dep.Epoch)
 	}
 	if m.state.ch == nil {
 		m.state.Unlock()
 		return ErrNotDeployed
 	}
 	old := m.state.ch
-	oldWindowed := m.state.windowed
 	m.state.reconfig = true
 	q := make(chan struct{})
 	m.state.quiesced = q
@@ -594,12 +513,12 @@ func (m *Manager) Reconfigure(doc *appiaxml.Document, configName string, epoch u
 	// data channel's own coordinator died. The channel may already be
 	// quiescent if another node's flush outran this node's Prepare.
 	if !already {
-		trigger := &group.TriggerFlush{Hold: true, Members: append([]appia.NodeID(nil), members...)}
+		trigger := &group.TriggerFlush{Hold: true, Members: slices.Clone(d.Members)}
 		if err := old.Insert(trigger, appia.Down); err != nil && !errors.Is(err, appia.ErrChannelClosed) {
 			m.cfg.logf("stack[%d]: trigger flush: %v", m.cfg.Self, err)
 		}
 		if !m.cfg.clock().WaitTimeout(q, m.cfg.quiesceTimeout()) {
-			m.cfg.logf("stack[%d]: quiescence timeout at epoch %d; force-closing", m.cfg.Self, epoch)
+			m.cfg.logf("stack[%d]: quiescence timeout at epoch %d; force-closing", m.cfg.Self, d.Epoch)
 		}
 	}
 	if err := old.Close(); err != nil {
@@ -610,49 +529,40 @@ func (m *Manager) Reconfigure(doc *appiaxml.Document, configName string, epoch u
 	// (blocked) before this node's Core has even set the manager to
 	// buffering mode, and would otherwise die with the channel. They never
 	// reached the reliable layer (so the teardown release above did not
-	// cover their credits — they keep them through the buffer), and
-	// resubmitting them on the new stack is lossless and duplicate-free.
-	// Prepended: they predate everything buffered after the Prepare
-	// arrived.
-	if rescued := pendingPayloads(old); len(rescued) > 0 {
-		held := make([]heldSend, len(rescued))
-		for i, p := range rescued {
-			held[i] = heldSend{payload: p, credit: oldWindowed}
-			if oldWindowed && m.winB != nil {
-				// The byte cost is a pure function of the payload, so the
-				// rescued cast re-derives exactly what submit charged.
-				held[i].bytes = m.winB.Clamp(m.cfg.SendCost.Cost("data", len(p)))
-			}
-		}
+	// cover their credits — each keeps the one its event carries through
+	// the buffer), and resubmitting them on the new stack is lossless and
+	// duplicate-free. Prepended: they predate everything buffered after the
+	// Prepare arrived.
+	if rescued := pendingCasts(old); len(rescued) > 0 {
 		m.state.Lock()
-		m.state.buffered = append(held, m.state.buffered...)
+		m.state.buffered = append(rescued, m.state.buffered...)
 		m.state.Unlock()
 	}
 	// Fold the dead epoch's retention high-water marks into the running
 	// aggregate (reading the closed channel's session is safe, as above).
 	m.mergeNakStats(old)
 
-	ch, err := m.build(doc, epoch, members)
-	if err != nil {
-		m.finishReconfig(nil, nil, "", epoch, nil)
-		return err
+	ch, err := m.build(d)
+	if err == nil {
+		err = ch.Start()
 	}
-	if err := ch.Start(); err != nil {
-		m.finishReconfig(nil, nil, "", epoch, nil)
+	if err != nil {
+		m.finishReconfig(nil, d)
 		return err
 	}
 	ch.WaitReady(m.cfg.quiesceTimeout())
-	m.finishReconfig(ch, doc, configName, epoch, members)
+	m.finishReconfig(ch, d)
 	return nil
 }
 
-// finishReconfig installs the new channel and flushes buffered sends.
+// finishReconfig installs the new channel (nil: the rebuild failed) and
+// flushes buffered sends through the same insert step a direct Send takes.
 // state.reconfig stays set while it does: a concurrent Send keeps landing
 // behind the resubmitted casts in state.buffered, and only the lock hold
 // that finds the buffer empty lets senders insert directly again — clearing
 // the flag first let a direct Send overtake up to a window of buffered
 // casts from the same origin.
-func (m *Manager) finishReconfig(ch *appia.Channel, doc *appiaxml.Document, configName string, epoch uint64, members []appia.NodeID) {
+func (m *Manager) finishReconfig(ch *appia.Channel, d Deployment) {
 	m.state.Lock()
 	m.state.quiesced = nil
 	if m.state.closed {
@@ -682,31 +592,21 @@ func (m *Manager) finishReconfig(ch *appia.Channel, doc *appiaxml.Document, conf
 		m.state.quiescentSeen = true
 		m.state.Unlock()
 		m.cfg.logf("stack[%d]: epoch %d rebuild failed; holding %d buffered sends for the next deployment",
-			m.cfg.Self, epoch, held)
+			m.cfg.Self, d.Epoch, held)
 		return
 	}
-	m.installLocked(ch, doc, configName, epoch, members)
+	m.installLocked(ch, d)
 	windowed := m.state.windowed
 	for len(m.state.buffered) > 0 {
 		batch := m.state.buffered
 		m.state.buffered = nil
 		m.state.Unlock()
 		for _, hs := range batch {
-			ev := &group.CastEvent{}
-			ev.Msg = appia.NewMessage(hs.payload)
 			// Credits held through the buffer transfer to the new stack's
-			// reliable layer; on an unwindowed stack they return here.
-			ev.Windowed = (hs.credit || hs.bytes > 0) && windowed
-			if ev.Windowed {
-				ev.WindowBytes = hs.bytes
-			}
-			if err := ch.Insert(ev, appia.Down); err != nil {
+			// reliable layer (insert returns them on an unwindowed stack).
+			if err := m.insert(ch, windowed, hs); err != nil {
 				m.cfg.logf("stack[%d]: resubmit buffered send: %v", m.cfg.Self, err)
-				m.releaseOne(hs)
-				continue
-			}
-			if (hs.credit || hs.bytes > 0) && !windowed {
-				m.releaseOne(hs)
+				m.win.Release(hs.Credit)
 			}
 		}
 		m.state.Lock()
@@ -715,42 +615,32 @@ func (m *Manager) finishReconfig(ch *appia.Channel, doc *appiaxml.Document, conf
 	m.state.Unlock()
 }
 
-// releaseOne returns one buffered send's credits.
-func (m *Manager) releaseOne(hs heldSend) {
-	if hs.credit {
-		m.win.Release(1)
-	}
-	if hs.bytes > 0 {
-		m.winB.Release(hs.bytes)
-	}
-}
-
 // releaseHeld returns the credits of discarded buffered sends.
 func (m *Manager) releaseHeld(held []heldSend) {
 	for _, hs := range held {
-		m.releaseOne(hs)
+		m.win.Release(hs.Credit)
 	}
 }
 
-// pendingPayloads extracts application casts stranded in a closed
-// channel's GMS pending buffer. Only pure CastEvents are rescued: control
-// subtypes (ordering batches, flush traffic) are stale the moment the
-// epoch changes and are regenerated by the new stack. Reading the session
-// is safe here because Close has completed — the closed-channel handoff
-// orders this read after the scheduler's last touch.
-func pendingPayloads(ch *appia.Channel) [][]byte {
+// pendingCasts extracts application casts stranded in a closed channel's GMS
+// pending buffer, each with the credit submit stamped on it. Only pure
+// CastEvents are rescued: control subtypes (ordering batches, flush traffic)
+// are stale the moment the epoch changes and are regenerated by the new
+// stack. Reading the session is safe here because Close has completed — the
+// closed-channel handoff orders this read after the scheduler's last touch.
+func pendingCasts(ch *appia.Channel) []heldSend {
 	type pender interface{ Pending() []appia.Event }
 	gs, ok := ch.SessionFor("group.gms").(pender)
 	if !ok {
 		return nil
 	}
-	var out [][]byte
+	var out []heldSend
 	for _, ev := range gs.Pending() {
 		ce, ok := ev.(*group.CastEvent)
 		if !ok || ce.Dest != appia.NoNode || ce.Msg == nil {
 			continue
 		}
-		out = append(out, append([]byte(nil), ce.Msg.Bytes()...))
+		out = append(out, heldSend{append([]byte(nil), ce.Msg.Bytes()...), ce.Credit})
 	}
 	return out
 }
@@ -774,7 +664,6 @@ func (m *Manager) Close() error {
 	}
 	m.releaseHeld(discarded)
 	m.win.Close()
-	m.winB.Close()
 	return err
 }
 
@@ -818,8 +707,8 @@ type FlowStats struct {
 // FlowStats snapshots the group's flow-control state (any goroutine).
 func (m *Manager) FlowStats() FlowStats {
 	fs := FlowStats{
-		Window:           m.win.Stats(),
-		WindowBytes:      m.winB.Stats(),
+		Window:           m.win.Msgs.Stats(),
+		WindowBytes:      m.win.Bytes.Stats(),
 		MailboxDepth:     m.cfg.Scheduler.MailboxDepth(),
 		MailboxHighWater: m.cfg.Scheduler.MailboxHighWater(),
 	}

@@ -22,45 +22,18 @@ import (
 // the interleaving in which a direct Send used to overtake the casts still
 // waiting in the resubmit buffer.
 func TestReconfigureKeepsSendOrder(t *testing.T) {
-	nw := loopnet.New()
-	t.Cleanup(func() { _ = nw.Close() })
-	ep, err := nw.Attach(netio.EndpointConfig{ID: 1, Kind: netio.Fixed, Segments: []string{"lan"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := appia.NewScheduler()
-	t.Cleanup(sched.Close)
-
 	var (
 		mu        sync.Mutex
 		delivered []uint64
 	)
-	m := NewManager(ManagerConfig{
-		Node: ep, Self: 1, Scheduler: sched,
+	m, dep := loneManager(t, ManagerConfig{
 		SendWindow: 1 << 14,
 		OnDeliver: func(ev *group.CastEvent) {
 			mu.Lock()
 			delivered = append(delivered, binary.BigEndian.Uint64(ev.Msg.Bytes()))
 			mu.Unlock()
 		},
-		Logf: func(string, ...any) {},
 	})
-	t.Cleanup(func() { _ = m.Close() })
-	doc := &appiaxml.Document{Channels: []appiaxml.ChannelSpec{{
-		Name: "data",
-		Sessions: []appiaxml.SessionSpec{
-			{Layer: "transport.ptp"},
-			{Layer: "group.fanout"},
-			// A one-member group retires casts (and returns their credits)
-			// only at its own gossip points; keep them frequent.
-			{Layer: "group.nak", Params: []appiaxml.ParamSpec{{Name: "stable-every", Value: "64"}}},
-			{Layer: "group.gms"},
-		},
-	}}}
-	members := []appia.NodeID{1}
-	if err := m.Deploy(doc, "plain", 1, members); err != nil {
-		t.Fatal(err)
-	}
 
 	var (
 		stop    atomic.Bool
@@ -81,7 +54,8 @@ func TestReconfigureKeepsSendOrder(t *testing.T) {
 	}()
 	for epoch := uint64(2); epoch <= 9; epoch++ {
 		time.Sleep(2 * time.Millisecond)
-		if err := m.Reconfigure(doc, "plain", epoch, members); err != nil {
+		dep.Epoch = epoch
+		if err := m.Reconfigure(dep); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,4 +86,154 @@ func TestReconfigureKeepsSendOrder(t *testing.T) {
 				i, got, got-uint64(i), sent)
 		}
 	}
+}
+
+// loneManager deploys the plain stack for a one-member group on loopnet and
+// returns the manager with the deployment it runs (epoch 1).
+func loneManager(t *testing.T, cfg ManagerConfig) (*Manager, Deployment) {
+	t.Helper()
+	nw := loopnet.New()
+	t.Cleanup(func() { _ = nw.Close() })
+	ep, err := nw.Attach(netio.EndpointConfig{ID: 1, Kind: netio.Fixed, Segments: []string{"lan"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := appia.NewScheduler()
+	t.Cleanup(sched.Close)
+	cfg.Node, cfg.Self, cfg.Scheduler = ep, 1, sched
+	cfg.Logf = func(string, ...any) {}
+	m := NewManager(cfg)
+	t.Cleanup(func() { _ = m.Close() })
+	dep := Deployment{Epoch: 1, ConfigName: "plain", Members: []appia.NodeID{1}, Doc: &appiaxml.Document{
+		Channels: []appiaxml.ChannelSpec{{
+			Name: "data",
+			Sessions: []appiaxml.SessionSpec{
+				{Layer: "transport.ptp"},
+				{Layer: "group.fanout"},
+				// A one-member group retires casts (and returns their credits)
+				// only at its own gossip points; keep them frequent.
+				{Layer: "group.nak", Params: []appiaxml.ParamSpec{{Name: "stable-every", Value: "64"}}},
+				{Layer: "group.gms"},
+			},
+		}},
+	}}
+	if err := m.Deploy(dep.Doc, dep.ConfigName, dep.Epoch, dep.Members); err != nil {
+		t.Fatal(err)
+	}
+	return m, dep
+}
+
+// TestReconfigureRescuesPendingCastWithItsCredit parks a byte-windowed cast
+// in the GMS pending buffer the way a *remotely* initiated flush does — the
+// channel blocks before this node's manager knows a reconfiguration is coming
+// — and reconfigures. The cast must be rescued, resubmitted and delivered,
+// and it must carry the credit submit charged: at quiescence both windows
+// have released exactly what they acquired.
+func TestReconfigureRescuesPendingCastWithItsCredit(t *testing.T) {
+	got := make(chan string, 1)
+	m, dep := loneManager(t, ManagerConfig{
+		SendWindow:      4,
+		SendWindowBytes: 16, // the payload below is clamped to this
+		OnDeliver:       func(ev *group.CastEvent) { got <- string(ev.Msg.Bytes()) },
+	})
+	old := m.Channel()
+	if err := old.Insert(&group.TriggerFlush{Hold: true}, appia.Down); err != nil {
+		t.Fatal(err)
+	}
+	// The Quiescent upcall is ordered after the block on the scheduler, so
+	// once the manager has seen it the Send below can only land in pending.
+	waitFor(t, "the held flush to quiesce the channel", func() bool {
+		m.state.Lock()
+		defer m.state.Unlock()
+		return m.state.quiescentSeen
+	})
+	payload := "a payload longer than the byte window"
+	if err := m.Send([]byte(payload)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case p := <-got:
+		t.Fatalf("cast %q delivered by a blocked channel", p)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if fs := m.FlowStats(); fs.Window.InUse != 1 || fs.WindowBytes.InUse != 16 {
+		t.Fatalf("parked cast holds %d credits / %d bytes, want 1 / 16", fs.Window.InUse, fs.WindowBytes.InUse)
+	}
+
+	dep.Epoch = 2
+	if err := m.Reconfigure(dep); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case p := <-got:
+		if p != payload {
+			t.Fatalf("rescued cast delivered %q", p)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the parked cast died with its channel")
+	}
+	// A lone member's casts retire at its gossip points and at a view install:
+	// force the latter.
+	if err := m.Channel().Insert(&group.TriggerFlush{}, appia.Down); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "both windows to drain", func() bool {
+		fs := m.FlowStats()
+		return fs.Window.InUse == 0 && fs.WindowBytes.InUse == 0
+	})
+	fs := m.FlowStats()
+	if fs.Window.Acquired != 1 || fs.Window.Released != 1 {
+		t.Errorf("message window acquired %d, released %d, want 1 and 1", fs.Window.Acquired, fs.Window.Released)
+	}
+	if fs.WindowBytes.Acquired != 16 || fs.WindowBytes.Released != 16 {
+		t.Errorf("byte window acquired %d, released %d, want 16 and 16", fs.WindowBytes.Acquired, fs.WindowBytes.Released)
+	}
+}
+
+func waitFor(t *testing.T, what string, ok func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !ok(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestDeploymentSnapshotIsConsistent spins Reconfigure between two
+// configurations while a reader asserts that every snapshot's epoch, name
+// and document belong together. Read through separately locked accessors
+// (as core's group-info answer used to), an install landing between two
+// reads paired epoch n's XML with epoch n+1's number and name.
+func TestDeploymentSnapshotIsConsistent(t *testing.T) {
+	m, dep := loneManager(t, ManagerConfig{})
+	docs := [2]*appiaxml.Document{dep.Doc, {Channels: dep.Doc.Channels}}
+	names := [2]string{"odd", "even"}
+	at := func(epoch uint64) Deployment {
+		d := dep
+		d.Epoch, d.ConfigName, d.Doc = epoch, names[epoch%2], docs[epoch%2]
+		return d
+	}
+	if err := m.Reconfigure(at(2)); err != nil {
+		t.Fatal(err)
+	}
+
+	var stop atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for !stop.Load() {
+			if d := m.Deployment(); d.ConfigName != names[d.Epoch%2] || d.Doc != docs[d.Epoch%2] {
+				t.Errorf("torn snapshot: epoch %d carries name %q (want %q), its own document: %t",
+					d.Epoch, d.ConfigName, names[d.Epoch%2], d.Doc == docs[d.Epoch%2])
+				return
+			}
+		}
+	}()
+	for epoch := uint64(3); epoch <= 200; epoch++ {
+		if err := m.Reconfigure(at(epoch)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	<-done
 }

@@ -35,10 +35,9 @@ func NewStandardRegistry() *appiaxml.LayerRegistry {
 
 	reg.MustRegister("transport.ptp", func(p appiaxml.Params, env *appiaxml.Env) (appia.Layer, error) {
 		return transport.NewPTPLayer(transport.Config{
-			Node:     env.Node,
-			Port:     env.Port,
-			Registry: env.Registry,
-			Logf:     env.Logf,
+			Node: env.Node,
+			Port: env.Port,
+			Logf: env.Logf,
 		}), nil
 	})
 
@@ -49,10 +48,9 @@ func NewStandardRegistry() *appiaxml.LayerRegistry {
 		}
 		return transport.NewNativeMulticastLayer(transport.NativeMulticastConfig{
 			Config: transport.Config{
-				Node:     env.Node,
-				Port:     env.Port,
-				Registry: env.Registry,
-				Logf:     env.Logf,
+				Node: env.Node,
+				Port: env.Port,
+				Logf: env.Logf,
 			},
 			Segment: seg,
 		}), nil
@@ -85,8 +83,7 @@ func NewStandardRegistry() *appiaxml.LayerRegistry {
 			NackDelay:      nackDelay,
 			StableInterval: stable,
 			StableEvery:    stableEvery,
-			Window:         env.Window,
-			BytesWindow:    env.BytesWindow,
+			Credits:        env.Credits,
 			MaxRetained:    RetainedCap(env.SendWindow),
 		}
 		if err := cfg.Validate(); err != nil {
@@ -178,7 +175,6 @@ func NewStandardRegistry() *appiaxml.LayerRegistry {
 			K:          k,
 			M:          m,
 			FlushAfter: flush,
-			Registry:   env.Registry,
 		}), nil
 	})
 

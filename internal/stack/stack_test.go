@@ -95,8 +95,8 @@ func buildManagers(t *testing.T, n int) []*mgrNode {
 
 func TestManagerDeployAndSend(t *testing.T) {
 	nodes := buildManagers(t, 3)
-	if nodes[0].mgr.Epoch() != 1 || nodes[0].mgr.ConfigName() != "plain" {
-		t.Fatalf("epoch=%d config=%q", nodes[0].mgr.Epoch(), nodes[0].mgr.ConfigName())
+	if d := nodes[0].mgr.Deployment(); d.Epoch != 1 || d.ConfigName != "plain" {
+		t.Fatalf("epoch=%d config=%q", d.Epoch, d.ConfigName)
 	}
 	if err := nodes[0].mgr.Send([]byte("hello")); err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestManagerReconfigure(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = m.mgr.Reconfigure(mechoDoc(1), "mecho", 2, members)
+			errs[i] = m.mgr.Reconfigure(Deployment{Epoch: 2, ConfigName: "mecho", Members: members, Doc: mechoDoc(1)})
 		}()
 	}
 	// Send during the reconfiguration window: must be buffered, not lost.
@@ -164,8 +164,8 @@ func TestManagerReconfigure(t *testing.T) {
 		}
 	}
 	for _, m := range nodes {
-		if m.mgr.Epoch() != 2 || m.mgr.ConfigName() != "mecho" {
-			t.Fatalf("node %d: epoch=%d config=%q", m.id, m.mgr.Epoch(), m.mgr.ConfigName())
+		if d := m.mgr.Deployment(); d.Epoch != 2 || d.ConfigName != "mecho" {
+			t.Fatalf("node %d: epoch=%d config=%q", m.id, d.Epoch, d.ConfigName)
 		}
 	}
 	if err := nodes[2].mgr.Send([]byte("post")); err != nil {
@@ -192,7 +192,7 @@ func TestManagerReconfigure(t *testing.T) {
 
 func TestManagerStaleEpochRejected(t *testing.T) {
 	nodes := buildManagers(t, 2)
-	err := nodes[0].mgr.Reconfigure(plainDoc(), "plain", 1, []appia.NodeID{1, 2})
+	err := nodes[0].mgr.Reconfigure(Deployment{Epoch: 1, ConfigName: "plain", Members: []appia.NodeID{1, 2}, Doc: plainDoc()})
 	if !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("err = %v", err)
 	}

@@ -35,6 +35,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -503,25 +504,23 @@ func (n *Node) buildGroup(name string, gc GroupConfig) (*Group, error) {
 	// membership.
 	members = group.NormalizeMembers(append([]NodeID(nil), members...))
 	gc.Members = members
-	initialDoc := gc.InitialConfig
-	initialName := gc.InitialConfigName
-	if initialDoc == nil {
-		initialDoc = core.PlainConfig()
-		initialName = core.PlainConfigName
+	dep := stack.Deployment{Epoch: 1, ConfigName: gc.InitialConfigName, Members: members, Doc: gc.InitialConfig}
+	if dep.Doc == nil {
+		dep.Doc, dep.ConfigName = core.PlainConfig(), core.PlainConfigName
 	}
-	if initialName == "" {
-		initialName = "custom"
+	if dep.ConfigName == "" {
+		dep.ConfigName = "custom"
 	}
-	return n.buildGroupAt(name, gc, initialDoc, initialName, 1, members)
+	return n.buildGroupAt(name, gc, dep)
 }
 
 // buildGroupAt is buildGroup with the deployment pinned: the stack comes up
-// running configuration doc at the given epoch with deployMembers as its
-// bootstrap view. The two member lists differ only for a late joiner, which
-// deploys a singleton view of itself (gc.Members carries the full configured
-// membership it is about to be admitted into) and lets the join protocol
-// grow the view instead of colliding with the survivors' sequence spaces.
-func (n *Node) buildGroupAt(name string, gc GroupConfig, doc *Document, configName string, epoch uint64, deployMembers []NodeID) (*Group, error) {
+// running dep, with dep.Members as its bootstrap view. That list differs
+// from gc.Members only for a late joiner, which deploys a singleton view of
+// itself (gc.Members carries the full configured membership it is about to
+// be admitted into) and lets the join protocol grow the view instead of
+// colliding with the survivors' sequence spaces.
+func (n *Node) buildGroupAt(name string, gc GroupConfig, dep stack.Deployment) (*Group, error) {
 	if name == "" || strings.ContainsAny(name, "/@") {
 		return nil, ErrBadGroupName
 	}
@@ -558,7 +557,7 @@ func (n *Node) buildGroupAt(name string, gc GroupConfig, doc *Document, configNa
 	// non-blocking.
 	g.sched.SetMailboxBounds(stack.MailboxBounds(g.manager.Window().Capacity()))
 	g.cfg = gc
-	if err := g.manager.Deploy(doc, configName, epoch, deployMembers); err != nil {
+	if err := g.manager.Deploy(dep.Doc, dep.ConfigName, dep.Epoch, dep.Members); err != nil {
 		g.teardown()
 		return nil, err
 	}
@@ -572,6 +571,23 @@ func (n *Node) buildGroupAt(name string, gc GroupConfig, doc *Document, configNa
 // bootstrap membership and initial configuration, exactly as with
 // Config.Members at Start.
 func (n *Node) Join(name string, gc GroupConfig) (*Group, error) {
+	return n.host(name, func() (*Group, error) {
+		g, err := n.buildGroup(name, gc)
+		if err != nil {
+			return nil, err
+		}
+		if err := n.coreSes.Register(g.runtime()); err != nil {
+			g.teardown()
+			return nil, err
+		}
+		return g, nil
+	})
+}
+
+// host reserves name, runs build outside the node lock (it deploys a stack
+// and must return the group registered with the control plane), and commits
+// the group — unless the node closed meanwhile.
+func (n *Node) host(name string, build func() (*Group, error)) (*Group, error) {
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
@@ -581,17 +597,10 @@ func (n *Node) Join(name string, gc GroupConfig) (*Group, error) {
 		n.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrGroupExists, name)
 	}
-	// Reserve the name while the stack deploys outside the lock.
 	n.groups[name] = nil
 	n.mu.Unlock()
 
-	g, err := n.buildGroup(name, gc)
-	if err == nil {
-		if rerr := n.coreSes.Register(g.runtime()); rerr != nil {
-			g.teardown()
-			g, err = nil, rerr
-		}
-	}
+	g, err := build()
 	n.mu.Lock()
 	// Re-check closed: a Close that ran while the stack was deploying has
 	// already torn down (and replaced) the group map, so this group must
@@ -628,36 +637,7 @@ func (n *Node) JoinVia(name string, seed NodeID, gc GroupConfig) (*Group, error)
 	if seed == appia.NoNode || seed == n.cfg.ID {
 		return nil, fmt.Errorf("morpheus: join of %q needs a seed other than self", name)
 	}
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return nil, ErrNodeClosed
-	}
-	if _, dup := n.groups[name]; dup {
-		n.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrGroupExists, name)
-	}
-	// Reserve the name while the join runs outside the lock.
-	n.groups[name] = nil
-	n.mu.Unlock()
-
-	g, err := n.joinVia(name, seed, gc)
-	n.mu.Lock()
-	if err == nil && n.closed {
-		err = ErrNodeClosed
-	}
-	if err != nil {
-		delete(n.groups, name)
-		n.mu.Unlock()
-		if g != nil {
-			n.coreSes.Unregister(name)
-			g.teardown()
-		}
-		return nil, err
-	}
-	n.groups[name] = g
-	n.mu.Unlock()
-	return g, nil
+	return n.host(name, func() (*Group, error) { return n.joinVia(name, seed, gc) })
 }
 
 // joinVia runs the late-join protocol for JoinVia (the name is already
@@ -727,15 +707,12 @@ func (n *Node) joinVia(name string, seed NodeID, gc GroupConfig) (*Group, error)
 // error means the attempt timed out (likely an epoch race) and the caller
 // owns the returned group's teardown.
 func (n *Node) joinEpoch(name string, seed NodeID, gc GroupConfig, info core.GroupInfo, step time.Duration) (g *Group, admitted bool, err error) {
-	doc, err := appiaxml.ParseString(info.XML)
-	if err != nil {
-		return nil, false, fmt.Errorf("morpheus: group %q deployment info: %w", name, err)
-	}
-	full := group.NormalizeMembers(append(append([]NodeID(nil), info.Members...), n.cfg.ID))
-	gc.Members = full
+	gc.Members = group.NormalizeMembers(append(slices.Clone(info.Members), n.cfg.ID))
 	gc.InitialConfig = nil
 	gc.InitialConfigName = ""
-	g, err = n.buildGroupAt(name, gc, doc, info.ConfigName, info.Epoch, []NodeID{n.cfg.ID})
+	dep := info.Deployment
+	dep.Members = []NodeID{n.cfg.ID}
+	g, err = n.buildGroupAt(name, gc, dep)
 	if err != nil {
 		return nil, false, err
 	}
@@ -752,7 +729,7 @@ func (n *Node) joinEpoch(name string, seed NodeID, gc GroupConfig, info core.Gro
 	// The data-plane seed must be a current data member; fall back to the
 	// group's coordinator when the control seed does not host this group.
 	dataSeed := seed
-	if !info.Contains(seed) && len(info.Members) > 0 {
+	if !slices.Contains(info.Members, seed) && len(info.Members) > 0 {
 		dataSeed = info.Members[0]
 	}
 	if err := g.manager.Channel().Insert(&group.JoinVia{Seed: dataSeed}, appia.Down); err != nil {
@@ -1007,10 +984,10 @@ func (g *Group) FlowStats() FlowStats { return g.manager.FlowStats() }
 func (g *Group) Manager() *stack.Manager { return g.manager }
 
 // ConfigName returns the group's deployed configuration.
-func (g *Group) ConfigName() string { return g.manager.ConfigName() }
+func (g *Group) ConfigName() string { return g.manager.Deployment().ConfigName }
 
 // Epoch returns the group's configuration epoch.
-func (g *Group) Epoch() uint64 { return g.manager.Epoch() }
+func (g *Group) Epoch() uint64 { return g.manager.Deployment().Epoch }
 
 // Counters snapshots the group's share of the endpoint's transmissions:
 // what this group's stack put on the wire, keyed by class. (Receptions are
@@ -1042,8 +1019,8 @@ func (g *Group) Leave() error {
 		// Announced while the leaver's stack is still up: the reliable cast
 		// needs its origin alive long enough to reach stability on the
 		// control channel, which outlives this group's teardown.
-		if err := n.coreSes.AnnounceLeave(g.name, n.cfg.ID); err != nil && n.cfg.Logf != nil {
-			n.cfg.Logf("morpheus: leave announcement for %q: %v", g.name, err)
+		if err := n.coreSes.AnnounceLeave(g.name, n.cfg.ID); err != nil {
+			netio.Logf(n.cfg.Logf).Or()("morpheus: leave announcement for %q: %v", g.name, err)
 		}
 	}
 	return g.teardown()
