@@ -171,14 +171,12 @@ func (ch *Channel) Close() error {
 // CloseAsync starts channel teardown without waiting for it to finish.
 func (ch *Channel) CloseAsync() error {
 	ch.mu.Lock()
-	if ChannelState(ch.state.Load()) == ChannelClosed {
-		ch.mu.Unlock()
+	defer ch.mu.Unlock()
+	switch ChannelState(ch.state.Load()) {
+	case ChannelClosed:
 		return nil
-	}
-	st := ChannelState(ch.state.Load())
-	ch.state.Store(int32(ChannelClosed))
-	ch.mu.Unlock()
-	if st == ChannelNew { // never started: nothing to deliver
+	case ChannelNew: // never started: nothing to deliver
+		ch.state.Store(int32(ChannelClosed))
 		close(ch.closed)
 		return nil
 	}
@@ -189,7 +187,9 @@ func (ch *Channel) CloseAsync() error {
 	b.inited = true
 	b.route = ch.fullRoute()
 	b.cursor = len(b.route) - 1
-	if err := ch.sched.post(task{ch: ch, ev: ev}); err != nil {
+	// The state flips under the scheduler's lock, together with the enqueue:
+	// see Scheduler.postInsert.
+	if err := ch.sched.postClose(task{ch: ch, ev: ev}); err != nil {
 		close(ch.closed)
 		return nil
 	}
@@ -219,10 +219,12 @@ func (ch *Channel) WaitReady(timeout time.Duration) bool {
 
 // Insert routes an event through the whole stack from the outside: from
 // below going Up (network ingress) or from above going Down (application
-// egress). Safe to call from any goroutine.
+// egress). Safe to call from any goroutine. A nil return means the event is
+// queued ahead of any ChannelClose; once Close has been called Insert returns
+// ErrChannelClosed and the event was not taken.
 func (ch *Channel) Insert(ev Event, dir Direction) error {
 	if ch.State() == ChannelClosed {
-		return ErrChannelClosed
+		return ErrChannelClosed // fast refusal; postInsert's check is the one that decides
 	}
 	b := ev.base()
 	if b.inited {
@@ -233,7 +235,7 @@ func (ch *Channel) Insert(ev Event, dir Direction) error {
 	b.inited = true
 	b.route = nil // computed on the scheduler goroutine
 	b.cursor = -1
-	return ch.sched.post(task{ch: ch, ev: ev})
+	return ch.sched.postInsert(task{ch: ch, ev: ev})
 }
 
 // SendFrom inserts a new event into the flow starting at the session

@@ -125,7 +125,7 @@ func TestChannelRoutesOnlyToAcceptingLayers(t *testing.T) {
 	if err := ch.Insert(&baseEv{}, Up); err != nil {
 		t.Fatal(err)
 	}
-	sched.Flush()
+	settle(sched)
 
 	// ChannelInit visits everyone; baseEv visits only bottom and top.
 	wantBottom := []string{"bottom", "bottom"} // init + event
@@ -168,7 +168,7 @@ func TestChannelDownTraversalOrder(t *testing.T) {
 	if err := ch.Insert(&baseEv{}, Down); err != nil {
 		t.Fatal(err)
 	}
-	sched.Flush()
+	settle(sched)
 
 	mu.Lock()
 	defer mu.Unlock()
@@ -190,6 +190,19 @@ func (l layerFunc) Spec() LayerSpec {
 	return LayerSpec{Accepts: l.accepts}
 }
 func (l layerFunc) NewSession() Session { return SessionFunc(l.fn) }
+
+// settle flushes until the mailbox stays empty. Every hop of an event is a
+// task of its own, posted behind whatever is already queued, so one Flush
+// covers one hop: asserting a multi-hop order after a single Flush only
+// held while the scheduler happened to run ahead of the test goroutine.
+func settle(s *Scheduler) {
+	for {
+		s.Flush()
+		if s.MailboxDepth() == 0 {
+			return
+		}
+	}
+}
 
 func TestSendFromStartsAdjacent(t *testing.T) {
 	var mu sync.Mutex
@@ -229,7 +242,7 @@ func TestSendFromStartsAdjacent(t *testing.T) {
 	if err := ch.Start(); err != nil {
 		t.Fatal(err)
 	}
-	sched.Flush()
+	settle(sched)
 
 	mu.Lock()
 	defer mu.Unlock()
@@ -283,7 +296,7 @@ func TestBounceRevisitsPath(t *testing.T) {
 	if err := ch.Insert(&baseEv{}, Up); err != nil {
 		t.Fatal(err)
 	}
-	sched.Flush()
+	settle(sched)
 
 	mu.Lock()
 	defer mu.Unlock()
@@ -333,7 +346,7 @@ func TestSharedSessionAcrossChannels(t *testing.T) {
 	if err := ch2.Insert(&baseEv{}, Up); err != nil {
 		t.Fatal(err)
 	}
-	sched.Flush()
+	settle(sched)
 	mu.Lock()
 	defer mu.Unlock()
 	if counts[ch1] != 1 || counts[ch2] != 1 {
@@ -364,7 +377,7 @@ func TestChannelCloseDeliversCloseTopDown(t *testing.T) {
 	if err := ch.Start(); err != nil {
 		t.Fatal(err)
 	}
-	sched.Flush()
+	settle(sched)
 	if err := ch.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -498,4 +511,70 @@ func TestEventKindRegistry(t *testing.T) {
 		}
 	}()
 	r.Register("test.base", func() Sendable { return &derivedEv{} })
+}
+
+// closingEv closes its own channel from inside Insert: Insert reads the
+// event's base after its lock-free state check and before it enqueues, so
+// overriding base lands a Close deterministically in the window a concurrent
+// Close can hit by chance.
+type closingEv struct {
+	EventBase
+	during func()
+}
+
+func (e *closingEv) base() *EventBase {
+	if f := e.during; f != nil {
+		e.during = nil
+		f()
+	}
+	return &e.EventBase
+}
+
+// TestInsertRacingCloseIsRefused: an Insert that loses the race to Close must
+// say so. Accepting the event and dispatching it behind the ChannelClose hands
+// it to sessions that have already given up their state — the reliable layer
+// drops such a cast as teardown debris, and the sender, told nil, never
+// resubmits it (one cast lost across a reconfiguration).
+func TestInsertRacingCloseIsRefused(t *testing.T) {
+	var mu sync.Mutex
+	var seen []string
+	l := newRecLayer("l", T[*closingEv](), T[*ChannelClose]())
+	l.hold = func(ev Event) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		switch ev.(type) {
+		case *ChannelClose:
+			seen = append(seen, "close")
+		case *closingEv:
+			seen = append(seen, "event")
+		}
+		return false
+	}
+	q, err := NewQoS("q", l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := NewScheduler()
+	defer sched.Close()
+	ch := q.CreateChannel("c", sched)
+	if err := ch.Start(); err != nil || !ch.WaitReady(time.Second) {
+		t.Fatalf("start: %v", err)
+	}
+
+	ev := &closingEv{during: func() { _ = ch.CloseAsync() }}
+	err = ch.Insert(ev, Down)
+	<-ch.Closed()
+	settle(sched)
+
+	mu.Lock()
+	defer mu.Unlock()
+	if err == nil {
+		t.Fatalf("Insert behind Close returned nil; the session saw %v", seen)
+	}
+	if err != ErrChannelClosed {
+		t.Fatalf("Insert behind Close = %v, want ErrChannelClosed", err)
+	}
+	if len(seen) != 1 || seen[0] != "close" {
+		t.Fatalf("session saw %v, want only the close", seen)
+	}
 }

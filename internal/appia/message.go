@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -15,10 +16,18 @@ import (
 //
 // Storage is a reference-counted buffer shared copy-on-write between a
 // message and its clones: Clone is O(1), pops only advance the clone's own
-// read offset, and the first push on a shared buffer copies it out. Retired
-// messages may call Release to recycle both the struct and the buffer
-// through internal sync.Pools; Release is optional (the GC reclaims
-// unreleased messages) but keeps the fan-out hot path allocation-free.
+// read offset, and the first push on a shared buffer copies it out.
+//
+// Ownership: an event's Msg belongs to whoever holds the event. The session
+// (or stack manager) that consumes a Sendable — does not forward it —
+// calls Release, which recycles the struct and, once the last clone is
+// gone, the buffer through internal sync.Pools; anything that keeps bytes
+// past its Handle holds its own Clone (see Retained). The stack releases
+// at the points DESIGN.md "Kernel data plane" lists. A missing Release is
+// only a missed recycle — the GC reclaims the message; a wrong one hands a
+// live buffer to an unrelated message, so release only where the event
+// provably ends. Builds with the race detector poison released buffers and
+// panic on any use of a released Message (poison_race.go).
 //
 // The zero value is an empty message ready for use.
 type Message struct {
@@ -35,11 +44,17 @@ var (
 // headroom is the initial front slack reserved for header pushes.
 const headroom = 64
 
-// Pooled-buffer size classes: fresh buffers start at minBufCap and buffers
-// larger than maxPooledCap are left to the GC rather than pinned in the pool.
+// Pooled buffers come in power-of-two size classes, minBufCap to
+// maxPooledCap, one pool per class: a retained 200-byte frame holds 256
+// bytes, not a buffer sized for the largest frame that ever passed through,
+// so a stack's footprint follows what it retains and is reached within the
+// first moments of traffic. Larger buffers are left to the GC rather than
+// pinned in a pool.
 const (
-	minBufCap    = 2048
-	maxPooledCap = 64 << 10
+	minBufShift  = 8
+	maxBufShift  = 16
+	minBufCap    = 1 << minBufShift
+	maxPooledCap = 1 << maxBufShift
 )
 
 // msgBuf is a reference-counted backing store. refs counts the messages
@@ -49,26 +64,34 @@ type msgBuf struct {
 	refs atomic.Int32
 }
 
+// bufPools has no New: a miss allocates in getBuf, at the class asked for.
 var (
-	msgPool = sync.Pool{New: func() any { return new(Message) }}
-	bufPool = sync.Pool{New: func() any {
-		return &msgBuf{data: make([]byte, 0, minBufCap)}
-	}}
+	msgPool  = sync.Pool{New: func() any { return new(Message) }}
+	bufPools [maxBufShift - minBufShift + 1]sync.Pool
 )
+
+// bufClass is the index of the smallest size class holding n bytes,
+// n <= maxPooledCap.
+func bufClass(n int) int {
+	if n <= minBufCap {
+		return 0
+	}
+	return bits.Len(uint(n-1)) - minBufShift
+}
 
 // getBuf returns an exclusively-owned buffer with len(data) == n.
 func getBuf(n int) *msgBuf {
-	sb := bufPool.Get().(*msgBuf)
-	sb.refs.Store(1)
-	if cap(sb.data) >= n {
+	var sb *msgBuf
+	if n > maxPooledCap {
+		sb = &msgBuf{data: make([]byte, n)}
+	} else {
+		c := bufClass(n)
+		if sb, _ = bufPools[c].Get().(*msgBuf); sb == nil {
+			sb = &msgBuf{data: make([]byte, n, minBufCap<<c)}
+		}
 		sb.data = sb.data[:n]
-		return sb
 	}
-	c := minBufCap
-	for c < n {
-		c <<= 1
-	}
-	sb.data = make([]byte, n, c)
+	sb.refs.Store(1)
 	return sb
 }
 
@@ -77,11 +100,12 @@ func unref(sb *msgBuf) {
 	if sb.refs.Add(-1) != 0 {
 		return
 	}
+	poison(sb.data[:cap(sb.data)])
 	if cap(sb.data) > maxPooledCap {
 		return
 	}
 	sb.data = sb.data[:0]
-	bufPool.Put(sb)
+	bufPools[bufClass(cap(sb.data))].Put(sb)
 }
 
 // NewMessage returns a message whose payload is a copy of p.
@@ -104,6 +128,7 @@ func FromWire(p []byte) *Message {
 
 // Len returns the current total length (headers plus payload).
 func (m *Message) Len() int {
+	m.live()
 	if m.sb == nil {
 		return 0
 	}
@@ -115,6 +140,7 @@ func (m *Message) Len() int {
 // (on this message or, after Clone, on the last sibling sharing the buffer)
 // must copy it.
 func (m *Message) Bytes() []byte {
+	m.live()
 	if m.sb == nil {
 		return nil
 	}
@@ -128,6 +154,7 @@ func (m *Message) Bytes() []byte {
 // that fan one event out into several (for example, a point-to-point
 // fan-out of a multicast) clone the message for each copy.
 func (m *Message) Clone() *Message {
+	m.live()
 	c := msgPool.Get().(*Message)
 	c.sb, c.off = m.sb, m.off
 	if m.sb != nil {
@@ -137,27 +164,29 @@ func (m *Message) Clone() *Message {
 }
 
 // Release retires the message, recycling its struct — and, once the last
-// clone sharing it is released, its buffer — through internal pools. It is
-// optional, but hot paths that call it run allocation-free. The message
-// must not be used after Release, and — unlike letting the GC reclaim it —
-// any slice previously returned by Bytes, PopBytes or pop aliases a buffer
-// that may now be handed to an unrelated message: callers must not Release
-// while such aliases are still live.
+// clone sharing it is released, its buffer — through internal pools. The
+// message must not be used after Release, and — unlike letting the GC
+// reclaim it — any slice previously returned by Bytes, PopBytes or pop
+// aliases a buffer that may now be handed to an unrelated message: callers
+// must not Release while such aliases are still live. Releasing a nil
+// message is a no-op.
 func (m *Message) Release() {
 	if m == nil {
 		return
 	}
+	m.live()
 	if sb := m.sb; sb != nil {
 		m.sb = nil
 		unref(sb)
 	}
 	m.off = 0
-	msgPool.Put(m)
+	retire(m)
 }
 
 // reserve guarantees the message exclusively owns its buffer with at least
 // n bytes of front slack, copying out of a shared buffer if needed.
 func (m *Message) reserve(n int) {
+	m.live()
 	if sb := m.sb; sb != nil && m.off >= n && sb.refs.Load() == 1 {
 		return
 	}

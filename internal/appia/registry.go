@@ -79,6 +79,18 @@ func (r *EventKindRegistry) New(kind string) (Sendable, error) {
 	return f(), nil
 }
 
+// NewFromBytes is New for a kind name still sitting in a receive buffer: the
+// lookup borrows kind and allocates nothing but the event.
+func (r *EventKindRegistry) NewFromBytes(kind []byte) (Sendable, error) {
+	r.mu.RLock()
+	f, ok := r.byName[string(kind)]
+	r.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("appia: unknown event kind %q", kind)
+	}
+	return f(), nil
+}
+
 // Kinds returns the registered kind names in sorted order.
 func (r *EventKindRegistry) Kinds() []string {
 	r.mu.RLock()

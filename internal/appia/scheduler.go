@@ -208,6 +208,34 @@ func (s *Scheduler) signalDrained() {
 // post enqueues a task. Returns ErrSchedulerClosed after Close.
 func (s *Scheduler) post(t task) error {
 	s.mu.Lock()
+	return s.enqueueLocked(t)
+}
+
+// postInsert is post for Channel.Insert, and postClose for the ChannelClose
+// task: the first checks the channel's state and the second flips it to
+// closed under the same mu hold that enqueues. An insert therefore either
+// lands ahead of the ChannelClose — where the sessions still treat it as
+// live traffic — or is refused; it can no longer be accepted and then
+// dispatched behind the close, into sessions that have already surrendered
+// their buffered casts.
+func (s *Scheduler) postInsert(t task) error {
+	s.mu.Lock()
+	if t.ch.State() == ChannelClosed {
+		s.mu.Unlock()
+		return ErrChannelClosed
+	}
+	return s.enqueueLocked(t)
+}
+
+func (s *Scheduler) postClose(t task) error {
+	s.mu.Lock()
+	t.ch.state.Store(int32(ChannelClosed))
+	return s.enqueueLocked(t)
+}
+
+// enqueueLocked appends t and wakes a parked executor. Called with mu held;
+// returns with it released.
+func (s *Scheduler) enqueueLocked(t task) error {
 	if s.closed {
 		s.mu.Unlock()
 		return ErrSchedulerClosed

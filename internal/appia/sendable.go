@@ -70,19 +70,48 @@ const (
 // layers that pushed those headers is complete. Fan-out layers use this to
 // turn one logical multicast into per-destination copies.
 func CloneSendable(e Sendable) Sendable {
-	t := reflect.TypeOf(e).Elem()
-	cp, ok := reflect.New(t).Interface().(Sendable)
-	if !ok {
-		// Unreachable: e's type implements Sendable by construction.
-		panic(fmt.Sprintf("appia: %v does not implement Sendable", t))
-	}
 	src := e.SendableBase()
+	cp := Retained{typ: reflect.TypeOf(e), msg: src.Msg}.Event()
 	dst := cp.SendableBase()
-	if src.Msg != nil {
-		dst.Msg = src.Msg.Clone()
-	}
 	dst.Source = src.Source
 	dst.Dest = src.Dest
 	dst.Class = src.Class
 	return cp
 }
+
+// Retained is what a layer keeps of a Sendable it may have to send again
+// (a retransmission buffer, a relay history): the concrete type and its own
+// clone of the message — not a second event. The event is rebuilt by Event
+// only if a resend is actually asked for. The zero Retained holds nothing;
+// values are comparable.
+type Retained struct {
+	typ reflect.Type
+	msg *Message
+}
+
+// Retain captures e as it is now; later pushes and pops on e.Msg do not show
+// in the capture. The caller owns the result and Releases it.
+func Retain(e Sendable) Retained {
+	r := Retained{typ: reflect.TypeOf(e)}
+	if m := e.SendableBase().Msg; m != nil {
+		r.msg = m.Clone()
+	}
+	return r
+}
+
+// Event returns a fresh event of the captured concrete type carrying a clone
+// of the captured message; Source, Dest and Class are left zero.
+func (r Retained) Event() Sendable {
+	cp, ok := reflect.New(r.typ.Elem()).Interface().(Sendable)
+	if !ok {
+		// Unreachable: the type came from a Sendable.
+		panic(fmt.Sprintf("appia: %v does not implement Sendable", r.typ))
+	}
+	if r.msg != nil {
+		cp.SendableBase().Msg = r.msg.Clone()
+	}
+	return cp
+}
+
+// Release gives up the captured message.
+func (r Retained) Release() { r.msg.Release() }

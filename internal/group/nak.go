@@ -138,6 +138,7 @@ func (l *NakLayer) NewSession() appia.Session {
 	return &nakSession{
 		cfg:     l.cfg,
 		members: l.cfg.InitialMembers,
+		sent:    seqRing[sentSlot]{drop: sentSlot.Release}, // the embedded Retained's
 		recv:    make(map[appia.NodeID]*originState),
 		peerVec: make(map[appia.NodeID]DeliveredVector),
 		nextSeq: 1,
@@ -172,10 +173,25 @@ func (s NakStats) Merge(o NakStats) NakStats {
 type originState struct {
 	next      uint64                  // next sequence number to deliver
 	known     uint64                  // highest sequence known to exist (received or gossiped)
-	reorder   seqRing[Caster]         // casts received ahead of next, re-forwarded when the gap closes
-	history   seqRing[appia.Sendable] // delivered casts kept for peers
+	reorder   seqRing[heldCast]       // casts received ahead of next, re-forwarded when the gap closes
+	history   seqRing[appia.Retained] // delivered casts kept, wire-shaped, for peers
 	nackTries int
 	cancel    func() // stops the armed NACK timer; nil while none is armed
+}
+
+// heldCast is a received cast and the capture taken of it before its
+// origin/seq headers were popped: already wire-shaped, the capture becomes
+// the history entry when the cast is delivered.
+type heldCast struct {
+	ev   Caster
+	wire appia.Retained
+}
+
+// release ends a cast that will not be delivered (a duplicate, one too far
+// ahead, one a view change or state transfer made moot).
+func (hc heldCast) release() {
+	hc.wire.Release()
+	hc.ev.CastBase().Msg.Release()
 }
 
 // missing reports whether this origin has sequence numbers we still lack.
@@ -186,11 +202,13 @@ func (st *originState) missing() bool {
 }
 
 // sentSlot is one own cast awaiting stability: the retransmission payload
-// and the send-window credit the cast holds. A MaxRetained eviction drops ev
-// only; the slot and its credit stay until the stability watermark (or a view
-// install, or teardown) releases them, so a credit is never lost to the cap.
+// (kept with its concrete type, so a retransmitted Propose still decodes as a
+// Propose) and the send-window credit the cast holds. A MaxRetained eviction
+// drops the payload only; the slot and its credit stay until the stability
+// watermark (or a view install, or teardown) releases them, so a credit is
+// never lost to the cap.
 type sentSlot struct {
-	ev appia.Sendable
+	appia.Retained
 	flowctl.Credit
 }
 
@@ -310,6 +328,8 @@ func (s *nakSession) sendCast(ch *appia.Channel, ev Caster) {
 		// all be wasted — so drop it here and return its credit, the one
 		// thing that must not die with the channel.
 		s.release(base.Credit)
+		base.Msg.Release()
+		base.Msg = nil
 		return
 	}
 	seq := s.nextSeq
@@ -318,9 +338,7 @@ func (s *nakSession) sendCast(ch *appia.Channel, ev Caster) {
 	m.PushUvarint(seq)
 	m.PushUvarint(uint64(uint32(s.cfg.Self)))
 
-	// Retransmission buffer keeps a full clone, preserving the concrete
-	// type so a retransmitted Propose still decodes as a Propose.
-	s.sent.put(seq, sentSlot{appia.CloneSendable(ev), base.Credit})
+	s.sent.put(seq, sentSlot{appia.Retain(ev), base.Credit})
 	s.cntSent++
 	bumpHW(&s.hwSent, s.cntSent)
 	if cap := s.cfg.MaxRetained; cap > 0 && s.cntSent > cap {
@@ -329,7 +347,8 @@ func (s *nakSession) sendCast(ch *appia.Channel, ev Caster) {
 		// "garbage collected — recover via flush".
 		low := s.nextSeq - uint64(s.cntSent)
 		evicted := s.sent.get(low)
-		evicted.ev = nil
+		evicted.Retained.Release()
+		evicted.Retained = appia.Retained{}
 		s.sent.put(low, evicted)
 		s.cntSent--
 		s.evicted.Add(1)
@@ -370,12 +389,15 @@ func (s *nakSession) sendCast(ch *appia.Channel, ev Caster) {
 func (s *nakSession) receiveCast(ch *appia.Channel, ev Caster) {
 	base := ev.CastBase()
 	m := base.EnsureMsg()
+	hc := heldCast{ev, appia.Retain(ev)}
 	o, err := m.PopUvarint()
 	if err != nil {
+		hc.release()
 		return // corrupt: drop
 	}
 	seq, err := m.PopUvarint()
 	if err != nil {
+		hc.release()
 		return
 	}
 	origin := appia.NodeID(uint32(o))
@@ -389,9 +411,10 @@ func (s *nakSession) receiveCast(ch *appia.Channel, ev Caster) {
 	}
 	switch {
 	case seq < st.next:
-		return // duplicate
+		hc.release() // duplicate
+		return
 	case seq == st.next:
-		s.deliver(ch, origin, st, ev)
+		s.deliver(ch, st, hc)
 	default:
 		span := uint64(maxReorderSpan)
 		if s.cfg.MaxRetained > 0 {
@@ -404,26 +427,38 @@ func (s *nakSession) receiveCast(ch *appia.Channel, ev Caster) {
 			// seq's existence, so the NACK rotation will re-request it once
 			// the gap in front has drained.
 			s.evicted.Add(1)
-		case st.reorder.get(seq) == nil:
+			hc.release()
+		case st.reorder.get(seq) == heldCast{}:
 			// Buffer the event itself; we re-forward it when the gap
 			// closes.
 			st.reorder.advance(st.next)
-			st.reorder.put(seq, ev)
+			st.reorder.put(seq, hc)
 			s.cntBuffer++
 			bumpHW(&s.hwBuffer, s.cntBuffer)
+		default:
+			hc.release() // already buffered
 		}
 		s.armNack(ch, origin, st)
 	}
 }
 
-// deliver hands up ev, the cast at st.next (nil if it is still missing), and
+// takeBuffered removes the buffered cast at st.next (the zero heldCast if it
+// is still missing).
+func (s *nakSession) takeBuffered(st *originState) heldCast {
+	hc := st.reorder.take(st.next)
+	if hc.ev != nil {
+		s.cntBuffer--
+	}
+	return hc
+}
+
+// deliver hands up hc, the cast at st.next (zero if it is still missing), and
 // behind it every buffered cast that is now in order.
-func (s *nakSession) deliver(ch *appia.Channel, origin appia.NodeID, st *originState, ev Caster) {
-	for ; ev != nil; ev = st.reorder.get(st.next) {
-		s.cntBuffer -= st.reorder.advance(st.next + 1)
-		s.storeHistory(st, origin, st.next, ev)
+func (s *nakSession) deliver(ch *appia.Channel, st *originState, hc heldCast) {
+	for ; hc.ev != nil; hc = s.takeBuffered(st) {
+		s.storeHistory(st, st.next, hc.wire)
 		st.next++
-		ch.Forward(ev)
+		ch.Forward(hc.ev)
 		s.countDelivery(ch)
 	}
 	if !st.missing() {
@@ -435,16 +470,11 @@ func (s *nakSession) deliver(ch *appia.Channel, origin appia.NodeID, st *originS
 	}
 }
 
-// storeHistory keeps a wire-shaped clone of a delivered cast so this node
-// can retransmit on behalf of a crashed or partitioned origin. The clone
-// re-acquires the origin/seq headers popped during reception. History is
+// storeHistory keeps the wire-shaped capture of a delivered cast so this node
+// can retransmit on behalf of a crashed or partitioned origin. History is
 // pruned by the same stability watermarks as the send buffer.
-func (s *nakSession) storeHistory(st *originState, origin appia.NodeID, seq uint64, ev Caster) {
-	cp := appia.CloneSendable(ev)
-	m := cp.SendableBase().EnsureMsg()
-	m.PushUvarint(seq)
-	m.PushUvarint(uint64(uint32(origin)))
-	st.history.put(seq, cp)
+func (s *nakSession) storeHistory(st *originState, seq uint64, wire appia.Retained) {
+	st.history.put(seq, wire)
 	s.cntHistory++
 	bumpHW(&s.hwHistory, s.cntHistory)
 	if cap := s.cfg.MaxRetained; cap > 0 && st.history.live > cap {
@@ -550,14 +580,16 @@ func (s *nakSession) handleNack(ch *appia.Channel, e *Nack) {
 		lo, hi = ost.history.clamp(from, to)
 	}
 	for seq := lo; seq < hi; seq++ {
-		stored := s.sent.get(seq).ev
+		stored := s.sent.get(seq).Retained
 		if ost != nil {
 			stored = ost.history.get(seq)
 		}
-		if stored == nil {
+		if stored == (appia.Retained{}) {
 			continue // already garbage collected: peer must rejoin via flush
 		}
-		cp := appia.CloneSendable(stored)
+		// Rebuilt from the ring's own clone: the transport releasing this
+		// event leaves the retained bytes intact for the next request.
+		cp := stored.Event()
 		cb := cp.SendableBase()
 		cb.Dest = requester
 		cb.Class = appia.ClassControl
@@ -671,7 +703,7 @@ func (s *nakSession) releaseSent(upTo uint64) {
 		if slot := s.sent.get(seq); slot.Credit != (flowctl.Credit{}) {
 			sum.Msgs += slot.Msgs
 			sum.Bytes += slot.Bytes
-			s.sent.put(seq, sentSlot{ev: slot.ev})
+			s.sent.put(seq, sentSlot{Retained: slot.Retained})
 		}
 	}
 	s.release(sum)
@@ -736,8 +768,8 @@ func (s *nakSession) handleView(ch *appia.Channel, e *ViewInstall) {
 			if st.cancel != nil {
 				st.cancel()
 			}
-			s.cntHistory -= st.history.live
-			s.cntBuffer -= st.reorder.live
+			s.cntHistory -= st.history.advance(st.history.end)
+			s.cntBuffer -= st.reorder.advance(st.reorder.end)
 			delete(s.recv, origin)
 		}
 	}
@@ -808,7 +840,7 @@ func (s *nakSession) handleStateTransfer(ch *appia.Channel, e *StateTransfer) {
 			s.cntBuffer -= st.reorder.advance(st.next)
 			s.cntHistory -= st.history.advance(st.next)
 		}
-		s.deliver(ch, origin, st, st.reorder.get(st.next))
+		s.deliver(ch, st, s.takeBuffered(st))
 		if st.missing() {
 			s.armNack(ch, origin, st)
 		}
@@ -821,6 +853,8 @@ func (s *nakSession) origin(id appia.NodeID) *originState {
 	st, ok := s.recv[id]
 	if !ok {
 		st = &originState{next: 1}
+		st.reorder.drop = heldCast.release
+		st.history.drop = appia.Retained.Release
 		s.recv[id] = st
 	}
 	return st

@@ -1,6 +1,7 @@
 package group
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -248,4 +249,40 @@ func TestNackRangeOffTheWireIsClamped(t *testing.T) {
 	wantSeqs(t, "retransmitted own casts", retransmitted(t, r.takeWire(), 2), 1, 2, 3)
 	r.insert(wireNack(2, 3, 0, ^uint64(0)), appia.Up)
 	wantSeqs(t, "retransmitted history", retransmitted(t, r.takeWire(), 2), 1)
+}
+
+// TestNackServedAfterTheOriginalWasReleased: the transport releases a cast's
+// message once the frame has left and the manager releases the self-delivered
+// copy; a retransmission request arriving afterwards — with the pool's
+// buffers recycled through other casts meanwhile — must still be answered
+// with the original bytes, twice over.
+func TestNackServedAfterTheOriginalWasReleased(t *testing.T) {
+	r := newNakRig(t, NakConfig{Self: 1, InitialMembers: []appia.NodeID{1, 2, 3}})
+	r.own(true, 3)
+	r.recv(3, 1)
+	r.releaseTraffic()
+	for i := 0; i < 64; i++ { // churn: a wrongly freed buffer would be rewritten here
+		appia.NewMessage([]byte(fmt.Sprintf("unrelated-%04d", i))).Release()
+	}
+	for round := 0; round < 2; round++ {
+		r.insert(wireNack(2, 1, 1, 1), appia.Up)
+		r.insert(wireNack(2, 3, 1, 1), appia.Up)
+		w := r.takeWire()
+		if len(w) != 2 {
+			t.Fatalf("round %d: %d retransmissions, want 2", round, len(w))
+		}
+		for i, want := range []*CastEvent{wireCast(1, 1), wireCast(3, 1)} {
+			if i == 0 {
+				want.Msg = appia.NewMessage([]byte("own"))
+				want.Msg.PushUvarint(1)
+				want.Msg.PushUvarint(1)
+			}
+			got := w[i].(*CastEvent)
+			if got.Dest != 2 || got.Class != appia.ClassControl || !bytes.Equal(got.Msg.Bytes(), want.Msg.Bytes()) {
+				t.Fatalf("round %d: retransmission %d to %d (%s) carries %q, want %q",
+					round, i, got.Dest, got.Class, got.Msg.Bytes(), want.Msg.Bytes())
+			}
+			got.Msg.Release() // the transport's release must not reach the ring's copy
+		}
+	}
 }

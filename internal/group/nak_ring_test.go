@@ -189,3 +189,78 @@ func TestNakRetentionRings(t *testing.T) {
 		})
 	}
 }
+
+// lastOwner reports whether m is the only message left on its buffer: only
+// then does a push land in place instead of copying out. A true answer leaves
+// m as it was; a false one has moved m to a buffer of its own, so take a
+// fresh probe for the next question.
+func lastOwner(m *appia.Message) bool {
+	tail := func() *byte { b := m.Bytes(); return &b[len(b)-1] }
+	before := tail()
+	m.PushBool(true)
+	inPlace := before == tail()
+	_, _ = m.PopBool()
+	return inPlace
+}
+
+// probes returns n clones sharing r's retained buffer, each good for one
+// lastOwner question.
+func probes(r appia.Retained, n int) []*appia.Message {
+	out := make([]*appia.Message, n)
+	for i := range out {
+		out[i] = r.Event().SendableBase().Msg
+	}
+	return out
+}
+
+// releaseTraffic plays the transport (frames that left) and the stack manager
+// (casts delivered): every message the rig recorded is released.
+func (r *nakRig) releaseTraffic() {
+	for _, ev := range r.takeWire() {
+		if s, ok := ev.(appia.Sendable); ok {
+			s.SendableBase().Msg.Release()
+		}
+	}
+	for _, c := range r.app {
+		c.Msg.Release()
+	}
+	r.app = nil
+}
+
+// TestRingAdvanceFreesTheBuffer: slot advance is where a retained cast's
+// buffer is freed — the stability watermark on the sent ring and on a
+// history ring each leave the probe as the buffer's last owner — while
+// releaseSent (a view install) returns the credit and keeps the payload. A
+// second release of the same capture would panic under the race build, which
+// is what makes "once" part of `make race`.
+func TestRingAdvanceFreesTheBuffer(t *testing.T) {
+	all := []appia.NodeID{1, 2, 3}
+	r := newNakRig(t, NakConfig{Self: 1, InitialMembers: all})
+	r.own(true, 5)
+	r.recv(2, 1)
+	sent := probes(r.sess.sent.get(1).Retained, 3)
+	hist := probes(r.sess.recv[2].history.get(1), 2)
+	r.releaseTraffic()
+	if lastOwner(sent[0]) || lastOwner(hist[0]) {
+		t.Fatal("a ring slot does not hold its own reference")
+	}
+
+	r.insert(&ViewInstall{View: View{ID: 2, Members: all}}, appia.Down)
+	r.wantCredits(1, 5)
+	if lastOwner(sent[1]) {
+		t.Fatal("releaseSent freed the payload along with the credit")
+	}
+
+	r.insert(wireStable(2, DeliveredVector{1: 1, 2: 1}), appia.Up)
+	r.insert(wireStable(3, DeliveredVector{1: 1, 2: 1}), appia.Up)
+	r.releaseTraffic()
+	if r.sess.sent.live != 0 || r.sess.recv[2].history.live != 0 {
+		t.Fatalf("rings still hold %d sent / %d history", r.sess.sent.live, r.sess.recv[2].history.live)
+	}
+	if !lastOwner(sent[2]) {
+		t.Fatal("advancing the sent ring did not release the retained cast")
+	}
+	if !lastOwner(hist[1]) {
+		t.Fatal("advancing the history ring did not release the retained cast")
+	}
+}

@@ -13,6 +13,10 @@ type seqRing[T comparable] struct {
 	base  uint64 // lowest retained seq; everything below is gone for good
 	end   uint64 // one past the highest seq ever put (base <= end)
 	live  int    // non-hole slots in [base, end)
+	// drop, when set, is handed every value advance retires: slot advance is
+	// where a retained message is freed. put and take never call it — a
+	// caller overwriting or removing a value still owns the old one.
+	drop func(T)
 }
 
 // get returns the value at seq, the zero T for a hole or outside the span.
@@ -52,12 +56,24 @@ func (r *seqRing[T]) put(seq uint64, v T) {
 	*p = v
 }
 
+// take removes and returns the value at seq.
+func (r *seqRing[T]) take(seq uint64) (v T) {
+	var zero T
+	if v = r.get(seq); v != zero {
+		r.put(seq, zero)
+	}
+	return v
+}
+
 // advance retires every seq below to and reports how many occupied slots
 // that dropped. Advancing past end leaves an empty ring based at to.
 func (r *seqRing[T]) advance(to uint64) (dropped int) {
 	var zero T
 	for q := r.base; q < to && q < r.end; q++ {
 		if p := &r.slots[q&uint64(len(r.slots)-1)]; *p != zero {
+			if r.drop != nil {
+				r.drop(*p)
+			}
 			*p = zero
 			dropped++
 		}

@@ -1,6 +1,7 @@
 package group
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -130,5 +131,32 @@ func TestSeqRingClamp(t *testing.T) {
 		if hi > lo && hi-lo > uint64(len(ring.slots)) {
 			t.Errorf("clamp(%d, %d) walks %d steps over %d slots", c.from, c.to, hi-lo, len(ring.slots))
 		}
+	}
+}
+
+// TestSeqRingDropHook: advance hands the hook every occupied slot it retires,
+// once; put (overwrite included) and take never call it.
+func TestSeqRingDropHook(t *testing.T) {
+	dropped := map[int]int{}
+	ring := seqRing[int]{drop: func(v int) { dropped[v]++ }}
+	for seq := uint64(1); seq <= 6; seq++ {
+		ring.put(seq, int(seq))
+	}
+	ring.put(2, 20) // overwrite: the caller still owns the old value
+	ring.put(3, 0)  // hole
+	if got := ring.take(4); got != 4 || ring.get(4) != 0 {
+		t.Fatalf("take(4) = %d, slot now %d", got, ring.get(4))
+	}
+	if len(dropped) != 0 {
+		t.Fatalf("put/take dropped %v", dropped)
+	}
+	if n := ring.advance(6); n != 3 {
+		t.Fatalf("advance dropped %d slots, want 3 (1, 20, 5)", n)
+	}
+	ring.advance(6) // again: nothing left below 6
+	ring.advance(100)
+	want := map[int]int{1: 1, 20: 1, 5: 1, 6: 1}
+	if fmt.Sprint(dropped) != fmt.Sprint(want) {
+		t.Fatalf("dropped %v, want %v", dropped, want)
 	}
 }

@@ -150,9 +150,11 @@ func (s *session) handleSendable(ch *appia.Channel, e appia.Sendable) {
 	s.receive(ch, e)
 }
 
-// spread implements the mode-specific downward multicast.
+// spread implements the mode-specific downward multicast: copies go out,
+// the original ends here.
 func (s *session) spread(ch *appia.Channel, e appia.Sendable) {
 	sess := appia.Session(s)
+	defer e.SendableBase().Msg.Release()
 	if s.cfg.Mode == Wireless && s.cfg.Relay != s.cfg.Self {
 		// One message to the relay; it echoes to everybody else.
 		cp := appia.CloneSendable(e)

@@ -12,7 +12,15 @@ import (
 type PortMux struct {
 	mu   sync.Mutex
 	m    map[string]Handler
-	view atomic.Pointer[map[string]Handler]
+	view atomic.Pointer[map[string]portEntry]
+}
+
+// portEntry carries the registered port name beside its handler, so a lookup
+// keyed by bytes still in a receive buffer can hand the handler a string
+// without making one.
+type portEntry struct {
+	port string
+	h    Handler
 }
 
 // Set registers (or, with a nil handler, removes) the receiver for a port.
@@ -27,9 +35,9 @@ func (p *PortMux) Set(port string, h Handler) {
 	} else {
 		p.m[port] = h
 	}
-	view := make(map[string]Handler, len(p.m))
+	view := make(map[string]portEntry, len(p.m))
 	for k, v := range p.m {
-		view[k] = v
+		view[k] = portEntry{k, v}
 	}
 	p.view.Store(&view)
 }
@@ -40,6 +48,17 @@ func (p *PortMux) Get(port string) (Handler, bool) {
 	if view == nil {
 		return nil, false
 	}
-	h, ok := (*view)[port]
-	return h, ok
+	e, ok := (*view)[port]
+	return e.h, ok
+}
+
+// GetBytes is Get for a port name still sitting in a receive buffer: it
+// borrows port, allocates nothing, and returns the name as registered.
+func (p *PortMux) GetBytes(port []byte) (string, Handler, bool) {
+	view := p.view.Load()
+	if view == nil {
+		return "", nil, false
+	}
+	e, ok := (*view)[string(port)]
+	return e.port, e.h, ok
 }

@@ -95,6 +95,34 @@ func TestHandleDatagramMalformed(t *testing.T) {
 	}
 }
 
+// TestHandleDatagramAllocatesNothing: port and class are resolved from the
+// receive buffer — the handler gets the port name as registered, the
+// counters the interned class — so a frame of a known class costs no
+// allocation. An unknown class still costs its one string.
+func TestHandleDatagramAllocatesNothing(t *testing.T) {
+	e := &Endpoint{id: 2, logf: netio.Logf(nil).Or()}
+	registered := "data@1"
+	var frames int
+	e.Handle(registered, func(_ netio.NodeID, port string, _ []byte) {
+		if port != registered {
+			t.Errorf("handler got port %q", port)
+		}
+		frames++
+	})
+	known := container(containerVersion, 1, 3, entry("data@1", "data", "one"), entry("data@1", "control", "two"),
+		entry("elsewhere", "data", "nobody listens"))
+	if got := testing.AllocsPerRun(100, func() { e.handleDatagram(known) }); got != 0 {
+		t.Fatalf("known classes: %.1f allocs per datagram, want 0", got)
+	}
+	other := container(containerVersion, 1, 1, entry("data@1", "bulk", "x"))
+	if got := testing.AllocsPerRun(100, func() { e.handleDatagram(other) }); got > 1 {
+		t.Fatalf("unknown class: %.1f allocs per datagram, want at most 1", got)
+	}
+	if rx := e.Counters().Rx; frames == 0 || rx["data"].Msgs == 0 || rx["control"].Msgs == 0 || rx["other"].Msgs == 0 {
+		t.Fatalf("frames %d, rx %v", frames, rx)
+	}
+}
+
 // decodeRef is the test's own reading of the container format, written
 // without the production helpers: the deliveries a datagram must produce
 // at endpoint self when every port has a handler.
@@ -206,6 +234,10 @@ func FuzzHandleDatagram(f *testing.F) {
 	}
 	f.Add(container(containerVersion, 1, 3, entry("p", "data", "one"), []byte{0x80}))
 	f.Add(container(1, 1, 1, entry("p", "data", "legacy")))
+	// The receive path resolves port and class from the borrowed bytes: the
+	// empty and the unregistered port, the empty and the unknown class.
+	f.Add(container(containerVersion, 1, 5, entry("", "data", "no-port"), entry("nobody", "data", "unknown-port"),
+		entry("p", "", "no-class"), entry("p", "bulk", "unknown-class"), entry("p", "control", "known")))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		// Handlers go on the first few ports the reference finds (each
 		// registration copies the port table, so all of them would make a

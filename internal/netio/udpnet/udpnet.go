@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"morpheus/internal/appia"
 	"morpheus/internal/clock"
 	"morpheus/internal/netio"
 )
@@ -197,7 +198,7 @@ func (nw *Network) Attach(cfg netio.EndpointConfig) (netio.Endpoint, error) {
 	// datagrams on the wire between two receiver wakeups, and on loopback
 	// the default buffers overrun long before the receiver is actually
 	// slow. Best effort — some environments cap the values.
-	_ = conn.SetReadBuffer(1 << 21)
+	_ = conn.SetReadBuffer(recvBufBytes)
 	_ = conn.SetWriteBuffer(1 << 21)
 	ep := &Endpoint{
 		net:      nw,
@@ -221,7 +222,7 @@ func (nw *Network) Attach(cfg netio.EndpointConfig) (netio.Endpoint, error) {
 			_ = ep.closeSockets()
 			return nil, fmt.Errorf("udpnet: node %d join %q (%v): %w", cfg.ID, seg, gaddr, err)
 		}
-		_ = gconn.SetReadBuffer(1 << 21)
+		_ = gconn.SetReadBuffer(recvBufBytes)
 		ep.groups[seg] = gaddr
 		ep.gconns = append(ep.gconns, gconn)
 	}
@@ -377,6 +378,16 @@ func (e *Endpoint) closeSockets() error {
 	return err
 }
 
+// recvBufBytes is the receive buffer asked of the kernel. What must fit is
+// what one sender may have in flight towards a receiver whose read loop is
+// not running: a full default send window (256 casts). For 8 KiB casts —
+// each its own datagram — that is 2 MiB of payload, but the kernel charges a
+// datagram its whole skb (close to twice the payload at that size) against
+// twice the value requested, so a 2 MiB request lost the window's tail to
+// RcvbufErrors once the sender got fast enough to fill it (0.07 % of frames
+// on the ledger's bulk_udp, each costing a 20 ms NACK round); 4 MiB holds it.
+const recvBufBytes = 4 << 20
+
 // frame pool: marshal and container buffers shared across endpoints.
 var framePool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 2048)
@@ -413,9 +424,9 @@ func uvarintLen(v uint64) int {
 // errBadFrame reports an undecodable datagram.
 var errBadFrame = errors.New("udpnet: undecodable frame")
 
-// parseBody decodes one port/class/payload body in place; the returned
-// strings and payload alias b.
-func parseBody(b []byte) (port, class string, payload []byte, err error) {
+// parseBody decodes one port/class/payload body in place: port and payload
+// alias b; class is interned (see className).
+func parseBody(b []byte) (port []byte, class string, payload []byte, err error) {
 	take := func() ([]byte, bool) {
 		n, w := binary.Uvarint(b)
 		if w <= 0 || n > uint64(len(b)-w) {
@@ -427,13 +438,25 @@ func parseBody(b []byte) (port, class string, payload []byte, err error) {
 	}
 	p, ok := take()
 	if !ok {
-		return "", "", nil, errBadFrame
+		return nil, "", nil, errBadFrame
 	}
 	c, ok := take()
 	if !ok {
-		return "", "", nil, errBadFrame
+		return nil, "", nil, errBadFrame
 	}
-	return string(p), string(c), b, nil
+	return p, className(c), b, nil
+}
+
+// className maps class bytes onto the two accounting classes the stack
+// sends, without allocating; any other class costs one string.
+func className(c []byte) string {
+	switch string(c) {
+	case appia.ClassData:
+		return appia.ClassData
+	case appia.ClassControl:
+		return appia.ClassControl
+	}
+	return string(c)
 }
 
 // Send implements netio.Endpoint: the frame is coalesced toward dst.
@@ -519,8 +542,8 @@ func (e *Endpoint) handleDatagram(b []byte) {
 			return
 		}
 		e.counters.AddRx(class, len(payload))
-		if h, ok := e.ports.Get(port); ok && h != nil {
-			h(src, port, payload)
+		if name, h, ok := e.ports.GetBytes(port); ok && h != nil {
+			h(src, name, payload)
 		}
 	}
 }

@@ -59,7 +59,10 @@ type ManagerConfig struct {
 	// the scheduler's clock so reconfigurations stay on one timeline.
 	Clock clock.Clock
 	// OnDeliver receives application casts from whatever channel is
-	// currently deployed. Called on the scheduler goroutine.
+	// currently deployed. Called on the scheduler goroutine. The event and
+	// its message are borrowed until the callback returns — the manager then
+	// releases the message — so a callback that keeps payload bytes copies
+	// them.
 	OnDeliver func(ev *group.CastEvent)
 	// OnViewChange, when set, observes data-channel views.
 	OnViewChange func(v group.View)
@@ -340,6 +343,9 @@ func (m *Manager) deliver(ev appia.Event) {
 		if m.cfg.OnDeliver != nil {
 			m.cfg.OnDeliver(cb)
 		}
+		// The cast's life ends with the upcall.
+		cb.Msg.Release()
+		cb.Msg = nil
 	}
 }
 

@@ -14,6 +14,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -135,9 +136,12 @@ func (s *ptpSession) onClose(ch *appia.Channel) {
 	}
 }
 
-// transmit marshals and unicasts a downward event.
+// transmit marshals and unicasts a downward event, which ends here: the
+// substrate has copied the frame by the time Send returns, so the message is
+// released on every way out.
 func (s *ptpSession) transmit(ch *appia.Channel, e appia.Sendable) {
 	sb := e.SendableBase()
+	defer consume(sb)
 	if sb.Dest == appia.NoNode {
 		// Nothing above chose a destination: a composition bug. Drop
 		// loudly rather than guessing.
@@ -154,17 +158,22 @@ func (s *ptpSession) transmit(ch *appia.Channel, e appia.Sendable) {
 	if class == "" {
 		class = appia.ClassData
 	}
-	if err := s.cfg.Node.Send(sb.Dest, s.cfg.Port, class, wire); err != nil {
-		// Unreachable destinations and dead batteries are normal-course
-		// distributed-systems weather; upper layers recover via their own
-		// timeouts.
-		return
-	}
+	// Unreachable destinations and dead batteries are normal-course
+	// distributed-systems weather; upper layers recover via their own
+	// timeouts.
+	_ = s.cfg.Node.Send(sb.Dest, s.cfg.Port, class, wire)
+}
+
+// consume releases the message of an event that left through the network.
+// Msg is cleared so a stale use of the event fails loudly.
+func consume(sb *appia.SendableEvent) {
+	sb.Msg.Release()
+	sb.Msg = nil
 }
 
 // receive reconstructs a frame and inserts it into the addressed channel.
 func (s *ptpSession) receive(src netio.NodeID, port string, payload []byte) {
-	chName, ev, err := Unmarshal(s.cfg.registry(), payload)
+	chName, ev, err := unmarshal(s.cfg.registry(), payload)
 	if err != nil {
 		s.cfg.logf("transport.ptp[%d]: undecodable frame from %d: %v", s.cfg.Node.ID(), src, err)
 		return
@@ -173,7 +182,7 @@ func (s *ptpSession) receive(src netio.NodeID, port string, payload []byte) {
 	sb.Source = src
 	sb.Dest = s.cfg.Node.ID()
 	s.mu.Lock()
-	ch := s.channels[chName]
+	ch := s.channels[string(chName)]
 	s.mu.Unlock()
 	if ch == nil {
 		return // channel gone (reconfiguration race): drop
@@ -190,41 +199,45 @@ func Marshal(reg *appia.EventKindRegistry, channelName string, e appia.Sendable)
 // MarshalAppend encodes like Marshal but appends to dst, so per-frame
 // senders can reuse one scratch buffer instead of allocating. Substrates
 // copy (or finish transmitting) payloads before Send/Multicast return,
-// which is what makes the reuse safe.
+// which is what makes the reuse safe. The event is only read: it can be
+// marshalled again, and its message stays the caller's to release.
 func MarshalAppend(dst []byte, reg *appia.EventKindRegistry, channelName string, e appia.Sendable) ([]byte, error) {
 	kind, err := reg.KindOf(e)
 	if err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
 	}
-	sb := e.SendableBase()
-	m := sb.EnsureMsg()
-	m.PushString(kind)
-	m.PushString(channelName)
-	wire := append(dst, m.Bytes()...)
-	// Restore the message so the event could be retransmitted.
-	if _, err := m.PopString(); err != nil {
-		return nil, err
+	dst = binary.AppendUvarint(dst, uint64(len(channelName)))
+	dst = append(dst, channelName...)
+	dst = binary.AppendUvarint(dst, uint64(len(kind)))
+	dst = append(dst, kind...)
+	if m := e.SendableBase().Msg; m != nil {
+		dst = append(dst, m.Bytes()...)
 	}
-	if _, err := m.PopString(); err != nil {
-		return nil, err
-	}
-	return wire, nil
+	return dst, nil
 }
 
-// Unmarshal decodes a wire frame into a fresh event of the encoded kind.
+// Unmarshal decodes a wire frame into a fresh event of the encoded kind, whose
+// message is a copy of the frame with both headers popped.
 func Unmarshal(reg *appia.EventKindRegistry, payload []byte) (string, appia.Sendable, error) {
+	chName, ev, err := unmarshal(reg, payload)
+	return string(chName), ev, err
+}
+
+// unmarshal is Unmarshal with the channel name still borrowed: it aliases the
+// event's message buffer.
+func unmarshal(reg *appia.EventKindRegistry, payload []byte) ([]byte, appia.Sendable, error) {
 	m := appia.FromWire(payload)
-	chName, err := m.PopString()
+	chName, err := m.PopBytes()
 	if err != nil {
-		return "", nil, fmt.Errorf("transport: channel name: %w", err)
+		return nil, nil, fmt.Errorf("transport: channel name: %w", err)
 	}
-	kind, err := m.PopString()
+	kind, err := m.PopBytes()
 	if err != nil {
-		return "", nil, fmt.Errorf("transport: kind: %w", err)
+		return nil, nil, fmt.Errorf("transport: kind: %w", err)
 	}
-	ev, err := reg.New(kind)
+	ev, err := reg.NewFromBytes(kind)
 	if err != nil {
-		return "", nil, err
+		return nil, nil, err
 	}
 	ev.SendableBase().Msg = m
 	return chName, ev, nil

@@ -1,11 +1,15 @@
 package transport
 
 import (
+	"bytes"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"morpheus/internal/appia"
+	"morpheus/internal/fec"
+	"morpheus/internal/group"
 	"morpheus/internal/vnet"
 )
 
@@ -50,6 +54,68 @@ func TestMarshalUnmarshalRoundtrip(t *testing.T) {
 	}
 	if string(p.Msg.Bytes()) != "payload" {
 		t.Fatalf("payload = %q", p.Msg.Bytes())
+	}
+}
+
+// TestMarshalAppendWireFormat pins the frame layout against the encoding this
+// layer used before it framed straight into the scratch buffer — push the
+// kind and the channel name onto the message, copy it out — for every kind
+// the stack registers, and checks that marshalling only reads the event: the
+// message is untouched (even when its buffer is shared with a retention
+// clone, the hot-path case), a nil one stays nil, and a second marshal gives
+// the same bytes.
+func TestMarshalAppendWireFormat(t *testing.T) {
+	r := reg(t)
+	group.RegisterWireEvents(r)
+	fec.RegisterWireEvents(r)
+	const channel = "alpha/data"
+	prefix := []byte("scratch-prefix")
+	for _, kind := range r.Kinds() {
+		for _, payload := range [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte("0123456789"), 30)} {
+			ev, err := r.New(kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sb := ev.SendableBase()
+			var body []byte
+			var sibling *appia.Message // shares the buffer throughout
+			if payload != nil {
+				sb.Msg = appia.NewMessage(payload)
+				sb.Msg.PushUvarint(1 << 40)
+				sb.Msg.PushBool(true)
+				body = append([]byte(nil), sb.Msg.Bytes()...)
+				sibling = sb.Msg.Clone()
+			}
+			ref := appia.NewMessage(body)
+			ref.PushString(kind)
+			ref.PushString(channel)
+			want := append(append([]byte(nil), prefix...), ref.Bytes()...)
+
+			for pass := 0; pass < 2; pass++ {
+				got, err := MarshalAppend(append([]byte(nil), prefix...), r, channel, ev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s, %d-byte payload, pass %d:\n got %q\nwant %q", kind, len(payload), pass, got, want)
+				}
+				if payload == nil && sb.Msg != nil {
+					t.Fatalf("%s: marshalling gave a message to an event that had none", kind)
+				}
+				if payload != nil && !bytes.Equal(sb.Msg.Bytes(), body) {
+					t.Fatalf("%s: marshalling changed the message to %q", kind, sb.Msg.Bytes())
+				}
+			}
+
+			name, back, err := Unmarshal(r, want[len(prefix):])
+			if err != nil || name != channel || reflect.TypeOf(back) != reflect.TypeOf(ev) {
+				t.Fatalf("%s: decoded %q, %T, %v", kind, name, back, err)
+			}
+			if got := back.SendableBase().Msg.Bytes(); !bytes.Equal(got, body) {
+				t.Fatalf("%s: decoded message %q, want %q", kind, got, body)
+			}
+			sibling.Release()
+		}
 	}
 }
 

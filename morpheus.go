@@ -186,7 +186,10 @@ type Config struct {
 	// EvalInterval is the Core policy evaluation period (default 200ms).
 	EvalInterval time.Duration
 	// OnMessage receives application payloads delivered by the default
-	// group (on the group's scheduler goroutine: return quickly).
+	// group (on the group's scheduler goroutine: return quickly). The
+	// payload is borrowed until the callback returns — the stack then
+	// releases the cast's buffer for reuse — so a callback that keeps the
+	// bytes copies them. See GroupConfig.OnMessage.
 	OnMessage func(from NodeID, payload []byte)
 	// OnViewChange observes default group views.
 	OnViewChange func(v View)
@@ -236,10 +239,19 @@ type GroupConfig struct {
 	// (default 5s).
 	QuiesceTimeout time.Duration
 	// OnMessage receives payloads delivered in this group (on the group's
-	// scheduler goroutine: return quickly).
+	// scheduler goroutine: return quickly). The payload is borrowed until
+	// the callback returns: it aliases the cast's pooled message buffer,
+	// which the stack releases — and may hand to an unrelated cast — as soon
+	// as the delivery upcalls are done. Decode it, or copy it
+	// (string(payload), append([]byte(nil), payload...)), before returning;
+	// never store the slice, send it on a channel or capture it in a
+	// goroutine. This is the netio.Handler contract one level up, and
+	// `make lint` (borrowedbuf) checks callbacks against it.
 	OnMessage func(from NodeID, payload []byte)
 	// OnCast, when set, receives the full delivered cast event (origin,
-	// sequence number, group tag) in addition to OnMessage.
+	// sequence number, group tag) in addition to OnMessage, and before it.
+	// The event and its Msg are borrowed on the same terms as OnMessage's
+	// payload: after the callback returns ev.Msg is released and cleared.
 	OnCast func(ev *CastEvent)
 	// OnViewChange observes the group's data-channel views.
 	OnViewChange func(v View)

@@ -11,6 +11,14 @@
 // append([]byte(nil), p...), string(p), or a copying constructor such as
 // appia.FromWire (any plain call consuming the payload is assumed to
 // parse or copy before returning, per the contract).
+//
+// The same contract holds one level up since the stack releases a cast's
+// message where its life ends: the payload an OnMessage callback receives,
+// and any slice obtained from (*appia.Message).Bytes or PopBytes — in a
+// delivery callback or anywhere else — aliases a pooled buffer that goes to
+// an unrelated message once the owner releases it. Those are checked for the
+// same retention shapes; only returning a Bytes() slice from an ordinary
+// function is left alone (accessors do that legitimately).
 package borrowedbuf
 
 import (
@@ -22,7 +30,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name:  "borrowedbuf",
-	Doc:   "flags netio handler payloads retained past handler return without an intervening clone",
+	Doc:   "flags netio handler payloads, OnMessage payloads and appia.Message byte slices retained without an intervening clone",
 	Scope: func(string) bool { return true },
 	Run:   run,
 }
@@ -33,6 +41,11 @@ func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch e := n.(type) {
+			case *ast.KeyValueExpr:
+				// Config{OnMessage: fn}: a delivery callback.
+				if id, ok := e.Key.(*ast.Ident); ok && id.Name == onMessage {
+					checkExpr(pass, decls, seen, e.Value)
+				}
 			case *ast.CallExpr:
 				// Handlers passed as arguments: ep.Handle(port, h) and
 				// explicit netio.Handler(f) conversions.
@@ -60,7 +73,7 @@ func run(pass *analysis.Pass) error {
 				}
 			case *ast.AssignStmt:
 				for i, rhs := range e.Rhs {
-					if i < len(e.Lhs) && isHandlerExpr(pass, e.Lhs[i]) {
+					if i < len(e.Lhs) && (isHandlerExpr(pass, e.Lhs[i]) || isOnMessageField(e.Lhs[i])) {
 						checkExpr(pass, decls, seen, rhs)
 					}
 				}
@@ -74,7 +87,38 @@ func run(pass *analysis.Pass) error {
 			return true
 		})
 	}
+	// Message byte slices are borrowed wherever they are obtained: walk every
+	// function not already checked as a callback, with nothing tainted yet.
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil && !seen[fd.Body] {
+				w := &walker{pass: pass, body: fd.Body, tainted: map[types.Object]bool{}, checked: seen}
+				w.walk(fd.Body)
+			}
+		}
+	}
 	return nil
+}
+
+// onMessage is the facade's delivery-callback field (morpheus.Config and
+// GroupConfig, and the fixture's stand-in): its []byte parameter is borrowed
+// exactly as a netio.Handler's is.
+const onMessage = "OnMessage"
+
+func isOnMessageField(e ast.Expr) bool {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == onMessage
+}
+
+// isMessageBytes reports whether call is (*appia.Message).Bytes or PopBytes:
+// the two accessors that hand out a slice of the message's pooled buffer.
+func isMessageBytes(pass *analysis.Pass, call *ast.CallExpr) bool {
+	fn := analysis.Callee(pass.Info, call)
+	if fn == nil || (fn.Name() != "Bytes" && fn.Name() != "PopBytes") {
+		return false
+	}
+	sig, ok := fn.Type().(*types.Signature)
+	return ok && sig.Recv() != nil && analysis.NamedFrom(sig.Recv().Type(), "appia", "Message")
 }
 
 // isHandlerType reports whether t is the named type Handler from a
@@ -124,7 +168,6 @@ func checkBody(pass *analysis.Pass, seen map[*ast.BlockStmt]bool, ft *ast.FuncTy
 	if body == nil || seen[body] {
 		return
 	}
-	seen[body] = true
 	tainted := map[types.Object]bool{}
 	for _, field := range ft.Params.List {
 		for _, name := range field.Names {
@@ -138,9 +181,11 @@ func checkBody(pass *analysis.Pass, seen map[*ast.BlockStmt]bool, ft *ast.FuncTy
 		}
 	}
 	if len(tainted) == 0 {
-		return
+		return // not a payload callback after all: the general walk covers it
 	}
-	walkRetention(pass, body, body, tainted)
+	seen[body] = true
+	w := &walker{pass: pass, body: body, tainted: tainted, callback: true}
+	w.walk(body)
 }
 
 func isByteSlice(t types.Type) bool {
@@ -152,25 +197,41 @@ func isByteSlice(t types.Type) bool {
 	return ok && b.Kind() == types.Byte
 }
 
-// walkRetention reports retention of tainted values within body. scope is
-// the handler body: assignment to anything declared outside it (fields,
-// package vars, captured vars) is retention.
-func walkRetention(pass *analysis.Pass, handlerBody *ast.BlockStmt, n ast.Node, tainted map[types.Object]bool) {
+// walker checks one function body for retention of borrowed bytes.
+type walker struct {
+	pass *analysis.Pass
+	// body is the function checked: assignment to anything declared outside
+	// it (fields, package vars, captured vars) is retention.
+	body    *ast.BlockStmt
+	tainted map[types.Object]bool
+	// callback marks a handler or delivery callback, whose borrowed bytes
+	// came in as a parameter: returning them escapes too.
+	callback bool
+	// checked lists callback bodies already walked; the general walk steps
+	// over the literals among them.
+	checked map[*ast.BlockStmt]bool
+}
+
+// walk reports retention of tainted values within n.
+func (w *walker) walk(n ast.Node) {
+	pass, tainted := w.pass, w.tainted
 	ast.Inspect(n, func(m ast.Node) bool {
 		switch e := m.(type) {
+		case *ast.FuncLit:
+			return !w.checked[e.Body]
 		case *ast.AssignStmt:
-			handleAssign(pass, handlerBody, e, tainted)
+			w.handleAssign(e)
 			return false // children handled
 		case *ast.SendStmt:
 			if aliases(pass, e.Value, tainted) {
 				pass.Reportf(e.Pos(),
-					"borrowed handler payload sent on a channel outlives the handler; the receive ring will overwrite it — Clone/copy the bytes first (the netio.Handler contract)")
+					"borrowed bytes sent on a channel outlive the call that lent them; the receive ring or message pool will reuse the buffer — Clone/copy the bytes first")
 			}
 			return true
 		case *ast.GoStmt:
 			if capturesTainted(pass, e.Call, tainted) {
 				pass.Reportf(e.Pos(),
-					"borrowed handler payload captured by a spawned goroutine outlives the handler; copy the bytes before handing them off")
+					"borrowed bytes captured by a spawned goroutine outlive the call that lent them; copy the bytes before handing them off")
 			}
 			return true
 		case *ast.CallExpr:
@@ -181,16 +242,16 @@ func walkRetention(pass *analysis.Pass, handlerBody *ast.BlockStmt, n ast.Node, 
 				case "Go", "AfterFunc":
 					if capturesTainted(pass, e, tainted) {
 						pass.Reportf(e.Pos(),
-							"borrowed handler payload captured by a %s callback outlives the handler; copy the bytes before handing them off", fn.Name())
+							"borrowed bytes captured by a %s callback outlive the call that lent them; copy the bytes before handing them off", fn.Name())
 					}
 				}
 			}
 			return true
 		case *ast.ReturnStmt:
 			for _, r := range e.Results {
-				if aliases(pass, r, tainted) {
+				if w.callback && aliases(pass, r, tainted) {
 					pass.Reportf(e.Pos(),
-						"borrowed handler payload returned to the caller escapes the handler's lifetime; return a copy")
+						"borrowed payload returned to the caller escapes the callback's lifetime; return a copy")
 				}
 			}
 			return true
@@ -201,10 +262,11 @@ func walkRetention(pass *analysis.Pass, handlerBody *ast.BlockStmt, n ast.Node, 
 
 // handleAssign processes one assignment: records retention, propagates
 // and clears taint.
-func handleAssign(pass *analysis.Pass, handlerBody *ast.BlockStmt, as *ast.AssignStmt, tainted map[types.Object]bool) {
+func (w *walker) handleAssign(as *ast.AssignStmt) {
+	pass, handlerBody, tainted := w.pass, w.body, w.tainted
 	for i, rhs := range as.Rhs {
 		// Nested closures etc. still need scanning.
-		walkRetention(pass, handlerBody, rhs, tainted)
+		w.walk(rhs)
 		if i >= len(as.Lhs) {
 			continue
 		}
@@ -220,7 +282,7 @@ func handleAssign(pass *analysis.Pass, handlerBody *ast.BlockStmt, as *ast.Assig
 			if rhsAliases {
 				if !local {
 					pass.Reportf(as.Pos(),
-						"borrowed handler payload stored in %q, which outlives the handler; Clone/copy the bytes first", l.Name)
+						"borrowed bytes stored in %q, which outlives the call that lent them; Clone/copy the bytes first", l.Name)
 				} else {
 					tainted[obj] = true
 				}
@@ -230,12 +292,12 @@ func handleAssign(pass *analysis.Pass, handlerBody *ast.BlockStmt, as *ast.Assig
 		case *ast.SelectorExpr:
 			if rhsAliases {
 				pass.Reportf(as.Pos(),
-					"borrowed handler payload stored in field %q outlives the handler; Clone/copy the bytes first (PR-8 alias bug class)", l.Sel.Name)
+					"borrowed bytes stored in field %q outlive the call that lent them; Clone/copy the bytes first (PR-8 alias bug class)", l.Sel.Name)
 			}
 		case *ast.IndexExpr:
 			if rhsAliases {
 				pass.Reportf(as.Pos(),
-					"borrowed handler payload stored into a map/slice element outlives the handler; Clone/copy the bytes first")
+					"borrowed bytes stored into a map/slice element outlive the call that lent them; Clone/copy the bytes first")
 			}
 		}
 	}
@@ -243,10 +305,10 @@ func handleAssign(pass *analysis.Pass, handlerBody *ast.BlockStmt, as *ast.Assig
 
 // aliases reports whether e evaluates to memory aliasing a tainted slice:
 // the ident itself, a slice/paren of it, a slice-typed conversion of it,
-// an append that incorporates the slice *value* (non-spread), or a
-// composite literal / address-of carrying an aliasing expression. Plain
-// calls (parsers, copying constructors) and spread appends yield clean
-// values.
+// an append that incorporates the slice *value* (non-spread), a composite
+// literal / address-of carrying an aliasing expression, or a fresh borrow
+// from an appia.Message. Other plain calls (parsers, copying constructors)
+// and spread appends yield clean values.
 func aliases(pass *analysis.Pass, e ast.Expr, tainted map[types.Object]bool) bool {
 	switch v := ast.Unparen(e).(type) {
 	case *ast.Ident:
@@ -291,7 +353,9 @@ func aliases(pass *analysis.Pass, e ast.Expr, tainted map[types.Object]bool) boo
 			}
 			return false
 		}
-		return false // plain call: assumed to parse/copy (e.g. FromWire, bytes.Clone)
+		// m.Bytes() and m.PopBytes() hand out the message's pooled buffer;
+		// any other call is assumed to parse/copy (e.g. FromWire, bytes.Clone).
+		return isMessageBytes(pass, v)
 	default:
 		return false
 	}
