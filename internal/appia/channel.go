@@ -26,7 +26,9 @@ const (
 )
 
 // DeliverFunc receives events that complete the upward traversal of the
-// stack without being consumed; it is the application's upcall.
+// stack without being consumed; it is the application's upcall. A Sendable
+// is borrowed: the channel releases it and its message (ReleaseEvent) when
+// the upcall returns, so an upcall that keeps anything copies it.
 type DeliverFunc func(ev Event)
 
 // Channel is an instantiation of a QoS: an ordered stack of sessions
@@ -41,16 +43,16 @@ type Channel struct {
 	qos      *QoS
 	sched    *Scheduler
 	sessions []Session
-	byName   map[string]int // layer name -> index of first occurrence
-	deliver  DeliverFunc
+	// funcs marks the sessions whose dynamic type is not comparable
+	// (SessionFunc values): SendFrom finds every other session with ==.
+	funcs   []bool
+	byName  map[string]int // layer name -> index of first occurrence
+	deliver DeliverFunc
 
-	// routes caches, per concrete event type, the ascending list of session
-	// indices that accept it. lastType/lastRoute short-circuit the map for
-	// runs of same-typed events, the common case on the data path. Only
-	// touched on the scheduler goroutine.
-	routes    map[reflect.Type][]int
-	lastType  reflect.Type
-	lastRoute []int
+	// routes caches, per event kind, the ascending list of session indices
+	// that accept it; nil means not computed yet (a computed route is never
+	// nil). Only touched on the scheduler goroutine.
+	routes [][]int
 
 	mu     sync.Mutex   // guards state transitions and ready/closed closing
 	state  atomic.Int32 // ChannelState; read lock-free on the Insert hot path
@@ -94,21 +96,22 @@ func (q *QoS) CreateChannel(name string, sched *Scheduler, opts ...ChannelOption
 		sched:   sched,
 		byName:  make(map[string]int, len(q.layers)),
 		deliver: cfg.deliver,
-		routes:  make(map[reflect.Type][]int),
 		ready:   make(chan struct{}),
 		closed:  make(chan struct{}),
 	}
 	ch.state.Store(int32(ChannelNew))
 	ch.sessions = make([]Session, len(q.layers))
+	ch.funcs = make([]bool, len(q.layers))
 	for i, l := range q.layers {
 		if _, dup := ch.byName[l.Name()]; !dup {
 			ch.byName[l.Name()] = i
 		}
-		if s, ok := cfg.sessions[l.Name()]; ok {
-			ch.sessions[i] = s
-			continue
+		s, ok := cfg.sessions[l.Name()]
+		if !ok {
+			s = l.NewSession()
 		}
-		ch.sessions[i] = l.NewSession()
+		ch.sessions[i] = s
+		ch.funcs[i] = !reflect.TypeOf(s).Comparable()
 	}
 	return ch
 }
@@ -227,6 +230,7 @@ func (ch *Channel) Insert(ev Event, dir Direction) error {
 		return ErrChannelClosed // fast refusal; postInsert's check is the one that decides
 	}
 	b := ev.base()
+	b.live()
 	if b.inited {
 		return fmt.Errorf("appia: event %T reinserted", ev)
 	}
@@ -249,6 +253,7 @@ func (ch *Channel) SendFrom(from Session, ev Event, dir Direction) error {
 		return err
 	}
 	b := ev.base()
+	b.live()
 	b.channel = ch
 	b.dir = dir
 	b.inited = true
@@ -262,6 +267,7 @@ func (ch *Channel) SendFrom(from Session, ev Event, dir Direction) error {
 // being handled.
 func (ch *Channel) Forward(ev Event) {
 	b := ev.base()
+	b.live()
 	if b.channel != ch || !b.inited {
 		panic(fmt.Sprintf("appia: Forward of foreign event %T on channel %q", ev, ch.name))
 	}
@@ -315,10 +321,18 @@ func (ch *Channel) DeliverEvery(d time.Duration, s Session, mk func() Event) (ca
 	})
 }
 
-// indexOf locates a session in the stack.
+// indexOf locates a session in the stack. == on a comparable session cannot
+// panic (a differing dynamic type is just unequal), so the common case is a
+// scan without reflection; only a session none of them matches — a
+// SessionFunc — goes on to the reflective comparison.
 func (ch *Channel) indexOf(s Session) (int, error) {
 	for i, cand := range ch.sessions {
-		if sameSession(cand, s) {
+		if !ch.funcs[i] && cand == s {
+			return i, nil
+		}
+	}
+	for i, cand := range ch.sessions {
+		if ch.funcs[i] && sameSession(cand, s) {
 			return i, nil
 		}
 	}
@@ -351,15 +365,11 @@ func (ch *Channel) fullRoute() []int {
 // of session indices whose layers accept the event's concrete type.
 // Lifecycle events visit everyone.
 func (ch *Channel) routeFor(ev Event) []int {
-	t := reflect.TypeOf(ev)
-	if t == ch.lastType {
-		return ch.lastRoute
+	k := kindOf(ev)
+	if int(k) < len(ch.routes) && ch.routes[k] != nil {
+		return ch.routes[k]
 	}
-	if r, ok := ch.routes[t]; ok {
-		ch.lastType, ch.lastRoute = t, r
-		return r
-	}
-	var r []int
+	r := []int{}
 	switch ev.(type) {
 	case *ChannelInit, *ChannelClose, *Debug:
 		r = ch.fullRoute()
@@ -374,8 +384,10 @@ func (ch *Channel) routeFor(ev Event) []int {
 			}
 		}
 	}
-	ch.routes[t] = r
-	ch.lastType, ch.lastRoute = t, r
+	for int(k) >= len(ch.routes) {
+		ch.routes = append(ch.routes, nil)
+	}
+	ch.routes[k] = r
 	return r
 }
 
@@ -403,6 +415,7 @@ func (ch *Channel) startCursor(route []int, idx int, dir Direction) int {
 // cursor and advance. Runs on the scheduler goroutine only.
 func (ch *Channel) step(ev Event) {
 	b := ev.base()
+	b.live()
 	if b.route == nil {
 		// Externally inserted: initialise the route now, on the scheduler
 		// goroutine, so the cache needs no locking.
@@ -444,7 +457,8 @@ func (ch *Channel) step(ev Event) {
 }
 
 // deliverUp hands an event that ran off the top of the stack to the
-// application.
+// application. The upcall borrows it: a Sendable ends here, with its message,
+// once the upcall has returned.
 func (ch *Channel) deliverUp(ev Event) {
 	if _, ok := ev.(*ChannelInit); ok {
 		// Init has visited every session: the channel is operational.
@@ -459,6 +473,9 @@ func (ch *Channel) deliverUp(ev Event) {
 	}
 	if ch.deliver != nil {
 		ch.deliver(ev)
+	}
+	if s, ok := ev.(Sendable); ok {
+		ReleaseEvent(s)
 	}
 }
 

@@ -483,9 +483,9 @@ func TestSchedulerEveryCancel(t *testing.T) {
 
 func TestEventKindRegistry(t *testing.T) {
 	r := NewEventKindRegistry()
-	r.Register("test.base", func() Sendable { return &baseEv{} })
+	RegisterKind[baseEv](r, "test.base")
 	// Idempotent re-registration.
-	r.Register("test.base", func() Sendable { return &baseEv{} })
+	RegisterKind[baseEv](r, "test.base")
 
 	ev, err := r.New("test.base")
 	if err != nil {
@@ -510,7 +510,7 @@ func TestEventKindRegistry(t *testing.T) {
 			t.Fatal("conflicting registration did not panic")
 		}
 	}()
-	r.Register("test.base", func() Sendable { return &derivedEv{} })
+	RegisterKind[derivedEv](r, "test.base")
 }
 
 // closingEv closes its own channel from inside Insert: Insert reads the

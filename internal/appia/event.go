@@ -61,6 +61,7 @@ type EventBase struct {
 	route   []int // session indices (bottom..top) that accept this event
 	cursor  int   // position within route of the next session to visit
 	inited  bool
+	kind    Kind // stamped by the kind's pool or on first routing; kept across recycling
 }
 
 func (b *EventBase) base() *EventBase { return b }

@@ -19,9 +19,9 @@ import (
 // read offset, and the first push on a shared buffer copies it out.
 //
 // Ownership: an event's Msg belongs to whoever holds the event. The session
-// (or stack manager) that consumes a Sendable — does not forward it —
-// calls Release, which recycles the struct and, once the last clone is
-// gone, the buffer through internal sync.Pools; anything that keeps bytes
+// (or channel) that consumes a Sendable — does not forward it — calls
+// ReleaseEvent, whose Release recycles the struct and, once the last clone
+// is gone, the buffer through internal sync.Pools; anything that keeps bytes
 // past its Handle holds its own Clone (see Retained). The stack releases
 // at the points DESIGN.md "Kernel data plane" lists. A missing Release is
 // only a missed recycle — the GC reclaims the message; a wrong one hands a

@@ -44,3 +44,36 @@ func TestReleasedBufferIsPoisoned(t *testing.T) {
 		}
 	}
 }
+
+// TestReleasedEventPanics pins the same net for events: a released event is
+// marked and never handed out again, and Insert, Forward, SendFrom, a routing
+// hop or a second release of it panics.
+func TestReleasedEventPanics(t *testing.T) {
+	q, err := NewQoS("q", newRecLayer("l", T[*baseEv]()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := NewScheduler()
+	defer sched.Close()
+	ch := q.CreateChannel("c", sched)
+	sess := ch.SessionFor("l")
+
+	k := KindFor[baseEv]()
+	ev := k.New()
+	m := NewMessage([]byte("gone"))
+	ev.SendableBase().Msg = m
+	ReleaseEvent(ev)
+	mustPanic(t, "its message", func() { m.Len() })
+	mustPanic(t, "Insert", func() { _ = ch.Insert(ev, Up) })
+	mustPanic(t, "Forward", func() { ch.Forward(ev) })
+	mustPanic(t, "SendFrom", func() { _ = ch.SendFrom(sess, ev, Down) })
+	mustPanic(t, "step", func() { ch.step(ev) })
+	mustPanic(t, "second ReleaseEvent", func() { ReleaseEvent(ev) })
+	if k.New() == ev {
+		t.Fatal("a released event was handed out again")
+	}
+
+	lit := &baseEv{} // a literal takes the same path once released
+	ReleaseEvent(lit)
+	mustPanic(t, "Insert of a released literal", func() { _ = ch.Insert(lit, Up) })
+}

@@ -1,10 +1,5 @@
 package appia
 
-import (
-	"fmt"
-	"reflect"
-)
-
 // NodeID identifies a node of the distributed system. In the virtual
 // network it doubles as the address; a real deployment would map it to a
 // host:port pair.
@@ -18,8 +13,8 @@ const NoNode NodeID = 0
 // up; the struct fields below are kernel-local metadata and never travel on
 // the wire except where the transport explicitly encodes them.
 //
-// Concrete wire events embed SendableEvent and register a factory with
-// RegisterEventKind so receivers can reconstruct them by kind name.
+// Concrete wire events embed SendableEvent and are registered with
+// RegisterKind so receivers can reconstruct them by kind name.
 type SendableEvent struct {
 	EventBase
 	// Msg is the header stack plus payload.
@@ -63,15 +58,15 @@ const (
 	ClassControl = "control"
 )
 
-// CloneSendable returns a fresh event of the same concrete type with a deep
-// copy of the message and the wire metadata. Struct fields outside
-// SendableEvent are NOT copied: by convention all state that must survive
-// the network lives in pushed message headers, so a clone made below the
-// layers that pushed those headers is complete. Fan-out layers use this to
-// turn one logical multicast into per-destination copies.
+// CloneSendable returns an empty event of the same kind with a clone of the
+// message and the wire metadata. Struct fields outside SendableEvent are NOT
+// copied: by convention all state that must survive the network lives in
+// pushed message headers, so a clone made below the layers that pushed those
+// headers is complete. Fan-out layers use this to turn one logical multicast
+// into per-destination copies.
 func CloneSendable(e Sendable) Sendable {
 	src := e.SendableBase()
-	cp := Retained{typ: reflect.TypeOf(e), msg: src.Msg}.Event()
+	cp := Retained{kind: kindOf(e), msg: src.Msg}.Event()
 	dst := cp.SendableBase()
 	dst.Source = src.Source
 	dst.Dest = src.Dest
@@ -79,34 +74,49 @@ func CloneSendable(e Sendable) Sendable {
 	return cp
 }
 
+// ReleaseEvent ends an event and its message: the message is released, and
+// the event is reset to the zero value of its type and recycled through its
+// kind's pool. Ownership follows the message's: an event belongs to whoever
+// holds it, and whoever consumes it — does not forward it — releases it, at
+// the points DESIGN.md "Kernel data plane" lists. The event must not be used
+// afterwards; the race build marks it and panics on any later Insert,
+// Forward, SendFrom, hop or second release (poison_race.go).
+func ReleaseEvent(e Sendable) {
+	k := kindOf(e)
+	e.SendableBase().Msg.Release()
+	info := kindInfoOf(k)
+	if info.zero != nil {
+		info.zero(e)
+	} else {
+		*e.SendableBase() = SendableEvent{}
+	}
+	retireEvent(e, k, info.pool)
+}
+
 // Retained is what a layer keeps of a Sendable it may have to send again
-// (a retransmission buffer, a relay history): the concrete type and its own
-// clone of the message — not a second event. The event is rebuilt by Event
-// only if a resend is actually asked for. The zero Retained holds nothing;
-// values are comparable.
+// (a retransmission buffer, a relay history): the kind and its own clone of
+// the message — not a second event. The event is rebuilt by Event only if a
+// resend is actually asked for. The zero Retained holds nothing; values are
+// comparable.
 type Retained struct {
-	typ reflect.Type
-	msg *Message
+	kind Kind
+	msg  *Message
 }
 
 // Retain captures e as it is now; later pushes and pops on e.Msg do not show
 // in the capture. The caller owns the result and Releases it.
 func Retain(e Sendable) Retained {
-	r := Retained{typ: reflect.TypeOf(e)}
+	r := Retained{kind: kindOf(e)}
 	if m := e.SendableBase().Msg; m != nil {
 		r.msg = m.Clone()
 	}
 	return r
 }
 
-// Event returns a fresh event of the captured concrete type carrying a clone
-// of the captured message; Source, Dest and Class are left zero.
+// Event returns an empty event of the captured kind carrying a clone of the
+// captured message; Source, Dest and Class are left zero.
 func (r Retained) Event() Sendable {
-	cp, ok := reflect.New(r.typ.Elem()).Interface().(Sendable)
-	if !ok {
-		// Unreachable: the type came from a Sendable.
-		panic(fmt.Sprintf("appia: %v does not implement Sendable", r.typ))
-	}
+	cp := r.kind.New()
 	if r.msg != nil {
 		cp.SendableBase().Msg = r.msg.Clone()
 	}

@@ -100,7 +100,7 @@ func RegisterWireEvents(reg *appia.EventKindRegistry) {
 	if reg == nil {
 		reg = appia.DefaultRegistry()
 	}
-	reg.Register("ctx.publish", func() appia.Sendable { return &PublishEvent{} })
+	appia.RegisterKind[PublishEvent](reg, "ctx.publish")
 }
 
 // Config configures the Cocaditem layer.

@@ -190,12 +190,12 @@ func RegisterWireEvents(reg *appia.EventKindRegistry) {
 	if reg == nil {
 		reg = appia.DefaultRegistry()
 	}
-	reg.Register("core.prepare", func() appia.Sendable { return &PrepareEvent{} })
-	reg.Register("core.ack", func() appia.Sendable { return &AckEvent{} })
-	reg.Register("core.groupquery", func() appia.Sendable { return &GroupQueryEvent{} })
-	reg.Register("core.groupinfo", func() appia.Sendable { return &GroupInfoEvent{} })
-	reg.Register("core.groupjoin", func() appia.Sendable { return &GroupJoinEvent{} })
-	reg.Register("core.groupleave", func() appia.Sendable { return &GroupLeaveEvent{} })
+	appia.RegisterKind[PrepareEvent](reg, "core.prepare")
+	appia.RegisterKind[AckEvent](reg, "core.ack")
+	appia.RegisterKind[GroupQueryEvent](reg, "core.groupquery")
+	appia.RegisterKind[GroupInfoEvent](reg, "core.groupinfo")
+	appia.RegisterKind[GroupJoinEvent](reg, "core.groupjoin")
+	appia.RegisterKind[GroupLeaveEvent](reg, "core.groupleave")
 }
 
 // PolicyInput is what a policy sees: the group's effective view (the

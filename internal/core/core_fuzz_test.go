@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"maps"
 	"slices"
 	"sync"
 	"testing"
@@ -75,10 +76,12 @@ func recordCoreWire(t testing.TB) map[uint8][]byte {
 			t.Fatal(err)
 		}
 		mu.Lock()
-		n := len(seen)
+		n, got := len(seen), maps.Clone(seen)
 		mu.Unlock()
 		if n == 3 {
-			return seen
+			// A snapshot: the taps keep recording (every member receives
+			// the join announcement) after this returns.
+			return got
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("recorded %d of 3 event kinds", n)

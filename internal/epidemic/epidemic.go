@@ -129,7 +129,7 @@ func (s *session) handleSendable(ch *appia.Channel, e appia.Sendable) {
 		s.nextID++
 		s.seen[id] = struct{}{}
 		s.infect(ch, e, id, s.cfg.rounds())
-		sb.Msg.Release() // copies went out; the original ends here
+		appia.ReleaseEvent(e) // copies went out; the original ends here
 		return
 	}
 	s.receive(ch, e)
@@ -147,7 +147,7 @@ func (s *session) receive(ch *appia.Channel, e appia.Sendable) {
 		return
 	}
 	if _, dup := s.seen[id]; dup {
-		sb.Msg.Release() // already infected: die out
+		appia.ReleaseEvent(e) // already infected: die out
 		return
 	}
 	s.seen[id] = struct{}{}

@@ -19,7 +19,7 @@ func RegisterWireEvents(reg *appia.EventKindRegistry) {
 	if reg == nil {
 		reg = appia.DefaultRegistry()
 	}
-	reg.Register("fec.shard", func() appia.Sendable { return &Shard{} })
+	appia.RegisterKind[Shard](reg, "fec.shard")
 }
 
 // LayerConfig configures the FEC layer.

@@ -30,7 +30,7 @@ func TestDebugRemoteDelivery(t *testing.T) {
 	t.Logf("node2 tx=%v rx=%v", c1.Tx, c1.Rx)
 	nodes[1].mu.Lock()
 	for _, ev := range nodes[1].events {
-		t.Logf("node2 top delivery: %T dir=%v", ev, ev.(interface{ Dir() appia.Direction }).Dir())
+		t.Logf("node2 top delivery (non-cast): %T dir=%v", ev, ev.(interface{ Dir() appia.Direction }).Dir())
 	}
 	nodes[1].mu.Unlock()
 	t.Fatal("probe never delivered at node 2")

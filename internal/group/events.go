@@ -201,6 +201,13 @@ type CastEvent struct {
 // CastBase implements Caster.
 func (c *CastEvent) CastBase() *CastEvent { return c }
 
+// castKind is CastEvent's kind: NewCastEvent draws from its pool.
+var castKind = appia.KindFor[CastEvent]()
+
+// NewCastEvent returns an empty CastEvent, recycled when one has been
+// released (appia.ReleaseEvent).
+func NewCastEvent() *CastEvent { return castKind.New().(*CastEvent) }
+
 // Caster is implemented by every event embedding CastEvent; layers use it
 // to reach the shared cast metadata regardless of the concrete type.
 type Caster interface {
@@ -396,14 +403,14 @@ func RegisterWireEvents(reg *appia.EventKindRegistry) {
 	if reg == nil {
 		reg = appia.DefaultRegistry()
 	}
-	reg.Register("group.cast", func() appia.Sendable { return &CastEvent{} })
-	reg.Register("group.hb", func() appia.Sendable { return &Heartbeat{} })
-	reg.Register("group.propose", func() appia.Sendable { return &Propose{} })
-	reg.Register("group.flushreport", func() appia.Sendable { return &FlushReport{} })
-	reg.Register("group.install", func() appia.Sendable { return &Install{} })
-	reg.Register("group.joinreq", func() appia.Sendable { return &JoinReq{} })
-	reg.Register("group.statetransfer", func() appia.Sendable { return &StateTransfer{} })
-	reg.Register("group.nack", func() appia.Sendable { return &Nack{} })
-	reg.Register("group.stable", func() appia.Sendable { return &Stable{} })
-	reg.Register("group.order", func() appia.Sendable { return &OrderEv{} })
+	appia.RegisterKind[CastEvent](reg, "group.cast")
+	appia.RegisterKind[Heartbeat](reg, "group.hb")
+	appia.RegisterKind[Propose](reg, "group.propose")
+	appia.RegisterKind[FlushReport](reg, "group.flushreport")
+	appia.RegisterKind[Install](reg, "group.install")
+	appia.RegisterKind[JoinReq](reg, "group.joinreq")
+	appia.RegisterKind[StateTransfer](reg, "group.statetransfer")
+	appia.RegisterKind[Nack](reg, "group.nack")
+	appia.RegisterKind[Stable](reg, "group.stable")
+	appia.RegisterKind[OrderEv](reg, "group.order")
 }

@@ -78,7 +78,7 @@ func (s *fanoutSession) Handle(ch *appia.Channel, ev appia.Event) {
 // spread unicasts one copy per remote member; the original ends here.
 func (s *fanoutSession) spread(ch *appia.Channel, e appia.Sendable) {
 	sess := appia.Session(s)
-	defer e.SendableBase().Msg.Release()
+	defer appia.ReleaseEvent(e)
 	for _, m := range s.members {
 		if m == s.cfg.Self {
 			continue

@@ -140,7 +140,9 @@ func addJoiner(t *testing.T, cluster []*testNode, id appia.NodeID) *testNode {
 	tn.ch = q.CreateChannel("data", tn.sched, appia.WithDeliver(func(ev appia.Event) {
 		tn.mu.Lock()
 		defer tn.mu.Unlock()
-		tn.events = append(tn.events, ev)
+		if _, ok := ev.(appia.Sendable); !ok { // the channel releases a Sendable after the upcall
+			tn.events = append(tn.events, ev)
+		}
 		switch e := ev.(type) {
 		case *CastEvent:
 			tn.delivered = append(tn.delivered, string(e.Msg.Bytes()))

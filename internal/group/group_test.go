@@ -21,7 +21,7 @@ type testNode struct {
 	mu        sync.Mutex
 	delivered []string // payloads of delivered data casts
 	views     []View
-	events    []appia.Event
+	events    []appia.Event // delivered events the channel does not release (views, quiescence)
 }
 
 func (tn *testNode) deliveredList() []string {
@@ -116,7 +116,9 @@ func buildCluster(t testing.TB, n int, opts stackOpts) []*testNode {
 		tn.ch = q.CreateChannel("data", tn.sched, appia.WithDeliver(func(ev appia.Event) {
 			tn.mu.Lock()
 			defer tn.mu.Unlock()
-			tn.events = append(tn.events, ev)
+			if _, ok := ev.(appia.Sendable); !ok { // the channel releases a Sendable after the upcall
+				tn.events = append(tn.events, ev)
+			}
 			switch e := ev.(type) {
 			case *CastEvent:
 				tn.delivered = append(tn.delivered, string(e.Msg.Bytes()))

@@ -191,7 +191,7 @@ type heldCast struct {
 // ahead, one a view change or state transfer made moot).
 func (hc heldCast) release() {
 	hc.wire.Release()
-	hc.ev.CastBase().Msg.Release()
+	appia.ReleaseEvent(hc.ev)
 }
 
 // missing reports whether this origin has sequence numbers we still lack.
@@ -328,8 +328,7 @@ func (s *nakSession) sendCast(ch *appia.Channel, ev Caster) {
 		// all be wasted — so drop it here and return its credit, the one
 		// thing that must not die with the channel.
 		s.release(base.Credit)
-		base.Msg.Release()
-		base.Msg = nil
+		appia.ReleaseEvent(ev)
 		return
 	}
 	seq := s.nextSeq

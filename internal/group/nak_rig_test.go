@@ -20,11 +20,18 @@ type nakRig struct {
 	ch    *appia.Channel
 	sess  *nakSession
 	wire  []appia.Event // down-direction events that reached the bottom
-	app   []*CastEvent  // casts delivered upward
+	app   []castID      // casts delivered upward
 	win   creditCount
 	// wedged is set when the scheduler goroutine is known to be stuck in a
 	// Handle that will not return: cleanup must not wait for it.
 	wedged bool
+}
+
+// castID is what the rig keeps of a delivered cast: the channel releases the
+// event once the upcall returns.
+type castID struct {
+	Origin appia.NodeID
+	Seq    uint64
 }
 
 // creditCount sums what the session released.
@@ -57,7 +64,7 @@ func newNakRig(t *testing.T, cfg NakConfig) *nakRig {
 	}
 	r.ch = q.CreateChannel("data", r.sched, appia.WithDeliver(func(ev appia.Event) {
 		if c, ok := ev.(*CastEvent); ok {
-			r.app = append(r.app, c)
+			r.app = append(r.app, castID{c.Origin, c.Seq})
 		}
 	}))
 	r.sess = r.ch.SessionFor("group.nak").(*nakSession)

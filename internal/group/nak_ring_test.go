@@ -213,16 +213,13 @@ func probes(r appia.Retained, n int) []*appia.Message {
 	return out
 }
 
-// releaseTraffic plays the transport (frames that left) and the stack manager
-// (casts delivered): every message the rig recorded is released.
+// releaseTraffic plays the transport: every frame the rig recorded leaving is
+// released (the channel already released the casts it delivered).
 func (r *nakRig) releaseTraffic() {
 	for _, ev := range r.takeWire() {
 		if s, ok := ev.(appia.Sendable); ok {
-			s.SendableBase().Msg.Release()
+			appia.ReleaseEvent(s)
 		}
-	}
-	for _, c := range r.app {
-		c.Msg.Release()
 	}
 	r.app = nil
 }

@@ -154,7 +154,7 @@ func (s *session) handleSendable(ch *appia.Channel, e appia.Sendable) {
 // the original ends here.
 func (s *session) spread(ch *appia.Channel, e appia.Sendable) {
 	sess := appia.Session(s)
-	defer e.SendableBase().Msg.Release()
+	defer appia.ReleaseEvent(e)
 	if s.cfg.Mode == Wireless && s.cfg.Relay != s.cfg.Self {
 		// One message to the relay; it echoes to everybody else.
 		cp := appia.CloneSendable(e)

@@ -60,9 +60,8 @@ type ManagerConfig struct {
 	Clock clock.Clock
 	// OnDeliver receives application casts from whatever channel is
 	// currently deployed. Called on the scheduler goroutine. The event and
-	// its message are borrowed until the callback returns — the manager then
-	// releases the message — so a callback that keeps payload bytes copies
-	// them.
+	// its message are borrowed until the callback returns — the channel then
+	// releases both — so a callback that keeps anything copies it.
 	OnDeliver func(ev *group.CastEvent)
 	// OnViewChange, when set, observes data-channel views.
 	OnViewChange func(v group.View)
@@ -311,7 +310,8 @@ func (m *Manager) build(d Deployment) (*appia.Channel, error) {
 }
 
 // deliver fans channel upcalls out to the application and the manager's
-// own lifecycle tracking.
+// own lifecycle tracking. A delivered cast ends when this returns: the
+// channel releases it.
 func (m *Manager) deliver(ev appia.Event) {
 	switch e := ev.(type) {
 	case *group.Quiescent:
@@ -343,9 +343,6 @@ func (m *Manager) deliver(ev appia.Event) {
 		if m.cfg.OnDeliver != nil {
 			m.cfg.OnDeliver(cb)
 		}
-		// The cast's life ends with the upcall.
-		cb.Msg.Release()
-		cb.Msg = nil
 	}
 }
 
@@ -473,7 +470,7 @@ func (m *Manager) place(hs heldSend) error {
 // layer; on one without a stability plane the send is fire-and-forget and
 // the credit comes straight back. On error the caller still owns the credit.
 func (m *Manager) insert(ch *appia.Channel, windowed bool, hs heldSend) error {
-	ev := &group.CastEvent{}
+	ev := group.NewCastEvent()
 	ev.Msg = appia.NewMessage(hs.payload)
 	if windowed {
 		ev.Credit = hs.Credit

@@ -63,7 +63,7 @@ func (s *nmcastSession) Handle(ch *appia.Channel, ev appia.Event) {
 		ch.Forward(ev)
 		return
 	}
-	defer consume(sb) // the event ends here, as in ptpSession.transmit
+	defer appia.ReleaseEvent(e) // the event ends here, as in ptpSession.transmit
 	wire, err := MarshalAppend(s.scratch[:0], s.cfg.registry(), ch.Name(), e)
 	if err != nil {
 		s.cfg.logf("transport.nativemcast[%d]: marshal %T: %v", s.cfg.Node.ID(), e, err)

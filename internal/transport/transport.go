@@ -137,11 +137,11 @@ func (s *ptpSession) onClose(ch *appia.Channel) {
 }
 
 // transmit marshals and unicasts a downward event, which ends here: the
-// substrate has copied the frame by the time Send returns, so the message is
-// released on every way out.
+// substrate has copied the frame by the time Send returns, so the event and
+// its message are released on every way out.
 func (s *ptpSession) transmit(ch *appia.Channel, e appia.Sendable) {
 	sb := e.SendableBase()
-	defer consume(sb)
+	defer appia.ReleaseEvent(e)
 	if sb.Dest == appia.NoNode {
 		// Nothing above chose a destination: a composition bug. Drop
 		// loudly rather than guessing.
@@ -162,13 +162,6 @@ func (s *ptpSession) transmit(ch *appia.Channel, e appia.Sendable) {
 	// distributed-systems weather; upper layers recover via their own
 	// timeouts.
 	_ = s.cfg.Node.Send(sb.Dest, s.cfg.Port, class, wire)
-}
-
-// consume releases the message of an event that left through the network.
-// Msg is cleared so a stale use of the event fails loudly.
-func consume(sb *appia.SendableEvent) {
-	sb.Msg.Release()
-	sb.Msg = nil
 }
 
 // receive reconstructs a frame and inserts it into the addressed channel.

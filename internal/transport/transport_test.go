@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -19,7 +20,7 @@ type pingEv struct{ appia.SendableEvent }
 func reg(t *testing.T) *appia.EventKindRegistry {
 	t.Helper()
 	r := appia.NewEventKindRegistry()
-	r.Register("test.ping", func() appia.Sendable { return &pingEv{} })
+	appia.RegisterKind[pingEv](r, "test.ping")
 	return r
 }
 
@@ -134,8 +135,16 @@ func TestUnmarshalGarbage(t *testing.T) {
 	}
 }
 
+// delivery is what a test keeps of a delivered event, which the channel
+// releases once the upcall returns.
+type delivery struct {
+	typ     string
+	source  appia.NodeID
+	payload string
+}
+
 // buildPair wires two single-layer (ptp only) channels over a vnet LAN.
-func buildPair(t *testing.T) (a, b *appia.Channel, deliveredB *[]appia.Event, mu *sync.Mutex) {
+func buildPair(t *testing.T) (a, b *appia.Channel, deliveredB *[]delivery, mu *sync.Mutex) {
 	t.Helper()
 	r := reg(t)
 	w := vnet.NewWorld(2)
@@ -151,7 +160,7 @@ func buildPair(t *testing.T) (a, b *appia.Channel, deliveredB *[]appia.Event, mu
 	}
 
 	mu = &sync.Mutex{}
-	deliveredB = &[]appia.Event{}
+	deliveredB = &[]delivery{}
 
 	mkChan := func(n *vnet.Node, sink bool) *appia.Channel {
 		q, err := appia.NewQoS("q", NewPTPLayer(Config{Node: n, Port: "t", Registry: r, Logf: t.Logf}))
@@ -165,7 +174,12 @@ func buildPair(t *testing.T) (a, b *appia.Channel, deliveredB *[]appia.Event, mu
 			opts = append(opts, appia.WithDeliver(func(ev appia.Event) {
 				mu.Lock()
 				defer mu.Unlock()
-				*deliveredB = append(*deliveredB, ev)
+				d := delivery{typ: fmt.Sprintf("%T", ev)}
+				if s, ok := ev.(appia.Sendable); ok {
+					d.source = s.SendableBase().Source
+					d.payload = string(s.SendableBase().Msg.Bytes())
+				}
+				*deliveredB = append(*deliveredB, d)
 			}))
 		}
 		ch := q.CreateChannel("data", sched, opts...)
@@ -198,15 +212,15 @@ func TestPTPSendsAndDelivers(t *testing.T) {
 		if n == 1 {
 			mu.Lock()
 			defer mu.Unlock()
-			got, ok := (*deliveredB)[0].(*pingEv)
-			if !ok {
-				t.Fatalf("delivered %T", (*deliveredB)[0])
+			got := (*deliveredB)[0]
+			if got.typ != "*transport.pingEv" {
+				t.Fatalf("delivered %s", got.typ)
 			}
-			if got.SendableBase().Source != 1 {
-				t.Fatalf("source = %d", got.SendableBase().Source)
+			if got.source != 1 {
+				t.Fatalf("source = %d", got.source)
 			}
-			if string(got.Msg.Bytes()) != "hi" {
-				t.Fatalf("payload = %q", got.Msg.Bytes())
+			if got.payload != "hi" {
+				t.Fatalf("payload = %q", got.payload)
 			}
 			return
 		}

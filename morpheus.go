@@ -251,7 +251,9 @@ type GroupConfig struct {
 	// OnCast, when set, receives the full delivered cast event (origin,
 	// sequence number, group tag) in addition to OnMessage, and before it.
 	// The event and its Msg are borrowed on the same terms as OnMessage's
-	// payload: after the callback returns ev.Msg is released and cleared.
+	// payload: after the callback returns the message is released and the
+	// event recycled for a later cast, so copy the fields needed, never the
+	// pointer (borrowedbuf checks this too).
 	OnCast func(ev *CastEvent)
 	// OnViewChange observes the group's data-channel views.
 	OnViewChange func(v View)

@@ -19,6 +19,13 @@
 // an unrelated message once the owner releases it. Those are checked for the
 // same retention shapes; only returning a Bytes() slice from an ordinary
 // function is left alone (accessors do that legitimately).
+//
+// Events are recycled the same way: the *group.CastEvent an OnCast or
+// OnDeliver callback receives goes back to its kind's pool when the callback
+// returns, so storing the event (or the message it carries) in a field,
+// package variable or captured slice, sending it on a channel, or capturing it
+// in a goroutine or timer hands a later cast's fields to whoever reads it.
+// Copying the fields needed (ev.Origin, string(ev.Msg.Bytes())) is clean.
 package borrowedbuf
 
 import (
@@ -30,7 +37,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name:  "borrowedbuf",
-	Doc:   "flags netio handler payloads, OnMessage payloads and appia.Message byte slices retained without an intervening clone",
+	Doc:   "flags netio handler payloads, OnMessage payloads, appia.Message byte slices and delivered cast events retained past the call that lent them",
 	Scope: func(string) bool { return true },
 	Run:   run,
 }
@@ -43,7 +50,7 @@ func run(pass *analysis.Pass) error {
 			switch e := n.(type) {
 			case *ast.KeyValueExpr:
 				// Config{OnMessage: fn}: a delivery callback.
-				if id, ok := e.Key.(*ast.Ident); ok && id.Name == onMessage {
+				if id, ok := e.Key.(*ast.Ident); ok && deliveryCallbacks[id.Name] {
 					checkExpr(pass, decls, seen, e.Value)
 				}
 			case *ast.CallExpr:
@@ -73,7 +80,7 @@ func run(pass *analysis.Pass) error {
 				}
 			case *ast.AssignStmt:
 				for i, rhs := range e.Rhs {
-					if i < len(e.Lhs) && (isHandlerExpr(pass, e.Lhs[i]) || isOnMessageField(e.Lhs[i])) {
+					if i < len(e.Lhs) && (isHandlerExpr(pass, e.Lhs[i]) || isCallbackField(e.Lhs[i])) {
 						checkExpr(pass, decls, seen, rhs)
 					}
 				}
@@ -100,14 +107,48 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// onMessage is the facade's delivery-callback field (morpheus.Config and
-// GroupConfig, and the fixture's stand-in): its []byte parameter is borrowed
-// exactly as a netio.Handler's is.
-const onMessage = "OnMessage"
+// deliveryCallbacks are the delivery-callback fields (morpheus.Config and
+// GroupConfig, stack.ManagerConfig, and the fixture's stand-in): an
+// OnMessage []byte parameter is borrowed exactly as a netio.Handler's is, an
+// OnCast/OnDeliver *group.CastEvent until the callback returns.
+var deliveryCallbacks = map[string]bool{"OnMessage": true, "OnCast": true, "OnDeliver": true}
 
-func isOnMessageField(e ast.Expr) bool {
+func isCallbackField(e ast.Expr) bool {
 	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == onMessage
+	return ok && deliveryCallbacks[sel.Sel.Name]
+}
+
+// isCastEvent reports whether t is *group.CastEvent (morpheus.CastEvent is
+// an alias of it).
+func isCastEvent(t types.Type) bool {
+	p, ok := t.(*types.Pointer)
+	return ok && analysis.NamedFrom(p.Elem(), "group", "CastEvent")
+}
+
+// borrowed names what a retained value holds, for the report: a delivered
+// event or its message (or a collection or channel of events), or borrowed
+// bytes.
+func borrowed(pass *analysis.Pass, e ast.Expr) (what, remedy string) {
+	if tv, ok := pass.Info.Types[e]; ok && holdsEvent(tv.Type) {
+		return "delivered event", "copy the fields it needs (Origin, string(Msg.Bytes()), ...) instead"
+	}
+	return "borrowed bytes", "Clone/copy the bytes first"
+}
+
+func holdsEvent(t types.Type) bool {
+	for {
+		if isCastEvent(t) || analysis.NamedFrom(t, "appia", "Message") {
+			return true
+		}
+		switch u := t.Underlying().(type) {
+		case *types.Slice:
+			t = u.Elem()
+		case *types.Chan:
+			t = u.Elem()
+		default:
+			return false
+		}
+	}
 }
 
 // isMessageBytes reports whether call is (*appia.Message).Bytes or PopBytes:
@@ -161,7 +202,7 @@ func checkExpr(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, seen ma
 	}
 }
 
-// checkBody taints the []byte parameters and walks the body for
+// checkBody taints the []byte and *CastEvent parameters and walks the body for
 // retention. The walk is in source order with a light flow model: a clone
 // untaints, an alias (q := p, q := p[i:]) taints the new name.
 func checkBody(pass *analysis.Pass, seen map[*ast.BlockStmt]bool, ft *ast.FuncType, body *ast.BlockStmt) {
@@ -175,7 +216,7 @@ func checkBody(pass *analysis.Pass, seen map[*ast.BlockStmt]bool, ft *ast.FuncTy
 			if obj == nil {
 				continue
 			}
-			if isByteSlice(obj.Type()) {
+			if isByteSlice(obj.Type()) || isCastEvent(obj.Type()) {
 				tainted[obj] = true
 			}
 		}
@@ -224,14 +265,16 @@ func (w *walker) walk(n ast.Node) {
 			return false // children handled
 		case *ast.SendStmt:
 			if aliases(pass, e.Value, tainted) {
+				what, remedy := borrowed(pass, e.Value)
 				pass.Reportf(e.Pos(),
-					"borrowed bytes sent on a channel outlive the call that lent them; the receive ring or message pool will reuse the buffer — Clone/copy the bytes first")
+					"%s sent on a channel outlive the call that lent them; the receive ring or the pools will reuse them — %s", what, remedy)
 			}
 			return true
 		case *ast.GoStmt:
-			if capturesTainted(pass, e.Call, tainted) {
+			if id := capturesTainted(pass, e.Call, tainted); id != nil {
+				what, remedy := borrowed(pass, id)
 				pass.Reportf(e.Pos(),
-					"borrowed bytes captured by a spawned goroutine outlive the call that lent them; copy the bytes before handing them off")
+					"%s captured by a spawned goroutine outlive the call that lent them; %s", what, remedy)
 			}
 			return true
 		case *ast.CallExpr:
@@ -240,9 +283,10 @@ func (w *walker) walk(n ast.Node) {
 			if fn := analysis.Callee(pass.Info, e); fn != nil {
 				switch fn.Name() {
 				case "Go", "AfterFunc":
-					if capturesTainted(pass, e, tainted) {
+					if id := capturesTainted(pass, e, tainted); id != nil {
+						what, remedy := borrowed(pass, id)
 						pass.Reportf(e.Pos(),
-							"borrowed bytes captured by a %s callback outlive the call that lent them; copy the bytes before handing them off", fn.Name())
+							"%s captured by a %s callback outlive the call that lent them; %s", what, fn.Name(), remedy)
 					}
 				}
 			}
@@ -281,8 +325,9 @@ func (w *walker) handleAssign(as *ast.AssignStmt) {
 			local := obj.Pos() >= handlerBody.Pos() && obj.Pos() <= handlerBody.End()
 			if rhsAliases {
 				if !local {
+					what, remedy := borrowed(pass, rhs)
 					pass.Reportf(as.Pos(),
-						"borrowed bytes stored in %q, which outlives the call that lent them; Clone/copy the bytes first", l.Name)
+						"%s stored in %q, which outlives the call that lent them; %s", what, l.Name, remedy)
 				} else {
 					tainted[obj] = true
 				}
@@ -291,13 +336,15 @@ func (w *walker) handleAssign(as *ast.AssignStmt) {
 			}
 		case *ast.SelectorExpr:
 			if rhsAliases {
+				what, remedy := borrowed(pass, rhs)
 				pass.Reportf(as.Pos(),
-					"borrowed bytes stored in field %q outlive the call that lent them; Clone/copy the bytes first (PR-8 alias bug class)", l.Sel.Name)
+					"%s stored in field %q outlive the call that lent them; %s", what, l.Sel.Name, remedy)
 			}
 		case *ast.IndexExpr:
 			if rhsAliases {
+				what, remedy := borrowed(pass, rhs)
 				pass.Reportf(as.Pos(),
-					"borrowed bytes stored into a map/slice element outlive the call that lent them; Clone/copy the bytes first")
+					"%s stored into a map/slice element outlive the call that lent them; %s", what, remedy)
 			}
 		}
 	}
@@ -307,13 +354,20 @@ func (w *walker) handleAssign(as *ast.AssignStmt) {
 // the ident itself, a slice/paren of it, a slice-typed conversion of it,
 // an append that incorporates the slice *value* (non-spread), a composite
 // literal / address-of carrying an aliasing expression, or a fresh borrow
-// from an appia.Message. Other plain calls (parsers, copying constructors)
-// and spread appends yield clean values.
+// from an appia.Message, or a pointer reached through a tainted event (its
+// Msg). Other plain calls (parsers, copying constructors), spread appends and
+// value fields of an event yield clean values.
 func aliases(pass *analysis.Pass, e ast.Expr, tainted map[types.Object]bool) bool {
 	switch v := ast.Unparen(e).(type) {
 	case *ast.Ident:
 		obj := pass.Info.ObjectOf(v)
 		return obj != nil && tainted[obj]
+	case *ast.SelectorExpr:
+		tv, ok := pass.Info.Types[v]
+		if _, ptr := tv.Type.(*types.Pointer); ok && ptr {
+			return aliases(pass, v.X, tainted)
+		}
+		return false
 	case *ast.SliceExpr:
 		return aliases(pass, v.X, tainted)
 	case *ast.UnaryExpr:
@@ -361,18 +415,18 @@ func aliases(pass *analysis.Pass, e ast.Expr, tainted map[types.Object]bool) boo
 	}
 }
 
-// capturesTainted reports whether a call's function-literal argument (or
-// the spawned call's args) reference a tainted object.
-func capturesTainted(pass *analysis.Pass, call *ast.CallExpr, tainted map[types.Object]bool) bool {
-	found := false
+// capturesTainted returns the first reference to a tainted object in a call's
+// function-literal argument (or the spawned call's args), or nil.
+func capturesTainted(pass *analysis.Pass, call *ast.CallExpr, tainted map[types.Object]bool) *ast.Ident {
+	var found *ast.Ident
 	check := func(n ast.Node) {
 		ast.Inspect(n, func(m ast.Node) bool {
 			if id, ok := m.(*ast.Ident); ok {
 				if obj := pass.Info.ObjectOf(id); obj != nil && tainted[obj] {
-					found = true
+					found = id
 				}
 			}
-			return !found
+			return found == nil
 		})
 	}
 	for _, arg := range call.Args {

@@ -12,6 +12,3 @@ func (m *Message) Bytes() []byte { return m.buf }
 func (m *Message) PopBytes() ([]byte, error) { return m.buf, nil }
 
 func (m *Message) Len() int { return len(m.buf) }
-
-// CastEvent is what OnDeliver/OnCast callbacks receive.
-type CastEvent struct{ Msg *Message }
